@@ -35,12 +35,15 @@ import numpy as np
 
 from ..engine.batch import PropagationSink, ReplayBatch
 from ..engine.bitflip import flip_bits
+from ..engine.plan import make_step, operand_rows, run_steps
 from ..engine.program import Opcode
 from ..obs import metrics as _metrics
 from .interpreter import CfgGoldenTrace
 from .program import TermKind
 
 __all__ = ["CfgLaneReplayer", "CfgReplayBatch"]
+
+_CONST, _INPUT = int(Opcode.CONST), int(Opcode.INPUT)
 
 
 @dataclass(frozen=True)
@@ -58,29 +61,53 @@ class CfgReplayBatch(ReplayBatch):
 
 
 class _BlockExec:
-    """Python-native per-block row storage for the dispatch loop."""
+    """One block's steps for the shared replay loop, in two maps.
 
-    def __init__(self, blk, dtype: np.dtype):
+    ``steps`` run over the register file: row ``j`` writes register
+    ``dst[j]``, which may also be one of its operands (an FMA whose
+    destination is its addend reads the addend first, see
+    :func:`~repro.engine.plan.make_step`).  ``tracked_steps`` rename
+    every row into its own slot ``n_registers + j`` so a tracked (sink)
+    execution leaves each row's value in place; the registers a block
+    writes are copied back from their last writer's slot afterwards.
+    """
+
+    def __init__(self, blk, n_regs: int, dtype: np.dtype,
+                 inputs: np.ndarray):
         self.n_rows = blk.n_rows
-        self.ops = blk.ops.tolist()
-        self.opnd = blk.operands.tolist()
-        self.dst = blk.dst.tolist()
-        self.consts = blk.consts.astype(dtype)
         self.term = blk.term
+        self.dst = blk.dst.tolist()
+        consts = blk.consts.astype(dtype)
+        self.steps: list[tuple] = []
+        self.tracked_steps: list[tuple] = []
+        holder = list(range(n_regs))  # register -> V index of its value
+        for j, (op, opnd, dst) in enumerate(zip(blk.ops.tolist(),
+                                                blk.operands.tolist(),
+                                                self.dst)):
+            a, b, c = (operand_rows(op, opnd) + (0, 0, 0))[:3]
+            load = None
+            if op == _INPUT:
+                load = inputs[opnd[0]]
+            elif op == _CONST:
+                load = consts[j]
+            self.steps.append(make_step(op, dst, a, b, c, load, key=j))
+            self.tracked_steps.append(make_step(
+                op, n_regs + j, holder[a], holder[b], holder[c], load,
+                key=j))
+            holder[dst] = n_regs + j
+        self.written = [r for r in range(n_regs) if holder[r] >= n_regs]
+        self.last_writer = [holder[r] - n_regs for r in self.written]
 
 
 class CfgLaneReplayer:
     """Replays batches of single-bit-flip experiments over a CFG golden trace.
 
-    Interpreter-only in this revision (``backend == "interp"``); campaign
-    config validation guarantees the compiled backend is never asked for a
-    CFG workload.  Exposes the tape replayer's ``replay`` /
+    Blocks execute through the tape replayer's opcode table and loop
+    (:mod:`repro.engine.plan`).  Exposes the tape replayer's ``replay`` /
     ``replay_values`` contract so campaign drivers, sinks and classifiers
     are shared; ``sweep_section`` (compositional analysis) is
     straight-line-only and raises.
     """
-
-    backend = "interp"
 
     def __init__(self, trace: CfgGoldenTrace, max_steps: int | None = None):
         self.trace = trace
@@ -91,8 +118,9 @@ class CfgLaneReplayer:
         self._gold64 = trace.values.astype(np.float64)
         self._site_ok = trace.dyn_is_site
         self._out_regs = prog.outputs
-        self._blocks = [_BlockExec(b, prog.dtype) for b in prog.blocks]
-        self._inputs = prog.inputs.astype(prog.dtype)
+        inputs = prog.inputs.astype(prog.dtype)
+        self._blocks = [_BlockExec(b, prog.n_registers, prog.dtype, inputs)
+                        for b in prog.blocks]
         self.max_steps = (int(max_steps) if max_steps is not None
                           else prog.resolved_max_steps())
         if self.max_steps < 1:
@@ -310,67 +338,39 @@ class CfgLaneReplayer:
         place); lanes with a pending injection have their site row's value
         overwritten as soon as it is produced, exactly like tape injection.
         Aligned groups compare guard rows against the recorded golden
-        direction and collect per-row values for deviation streaming.
+        direction; when ``blkvals`` is given (tracked groups), every row's
+        value is left in it for deviation streaming.
         """
-        tr = self.trace
-        dtype = self.program.dtype
-        inputs = self._inputs
-        width = sub.shape[1]
-        aligned = step >= 0
+        n_regs = sub.shape[0]
+        if blkvals is None:
+            # blocks are short: index the slab's rows directly
+            V, steps, dst = sub, blk.steps, blk.dst
+        else:
+            V = list(sub) + list(blkvals)
+            steps = blk.tracked_steps
+            dst = range(n_regs, n_regs + blk.n_rows)
 
-        CONST, INPUT, COPY = int(Opcode.CONST), int(Opcode.INPUT), int(Opcode.COPY)
-        ADD, SUB, MUL, DIV = int(Opcode.ADD), int(Opcode.SUB), int(Opcode.MUL), int(Opcode.DIV)
-        NEG, ABS, SQRT, FMA = int(Opcode.NEG), int(Opcode.ABS), int(Opcode.SQRT), int(Opcode.FMA)
-        MAX, MIN = int(Opcode.MAX), int(Opcode.MIN)
-        GGT, GLE = int(Opcode.GUARD_GT), int(Opcode.GUARD_LE)
+        inject = []
+        if grp_pend is not None:
+            lanes = np.flatnonzero(grp_pend)
+            rows = grp_rows[lanes]
+            for j in np.unique(rows).tolist():
+                hit = lanes[rows == j]
+                inject.append((j, dst[j], hit, corrupted[sel[hit]]))
 
-        with np.errstate(all="ignore"):
-            for j in range(blk.n_rows):
-                op = blk.ops[j]
-                a, b, c = blk.opnd[j]
-                if op == ADD:
-                    v = sub[a] + sub[b]
-                elif op == SUB:
-                    v = sub[a] - sub[b]
-                elif op == MUL:
-                    v = sub[a] * sub[b]
-                elif op == FMA:
-                    v = sub[a] * sub[b]
-                    np.add(v, sub[c], out=v)
-                elif op == DIV:
-                    v = sub[a] / sub[b]
-                elif op == NEG:
-                    v = -sub[a]
-                elif op == ABS:
-                    v = np.abs(sub[a])
-                elif op == SQRT:
-                    v = np.sqrt(sub[a])
-                elif op == MAX:
-                    v = np.maximum(sub[a], sub[b])
-                elif op == MIN:
-                    v = np.minimum(sub[a], sub[b])
-                elif op == COPY:
-                    v = sub[a].copy()
-                elif op == CONST:
-                    v = np.full(width, blk.consts[j], dtype=dtype)
-                elif op == INPUT:
-                    v = np.full(width, inputs[a], dtype=dtype)
-                elif op == GGT or op == GLE:
-                    pred = (sub[a] > sub[b]) if op == GGT else (sub[a] <= sub[b])
-                    v = pred.astype(dtype)
-                    if aligned:
-                        mism = pred != tr.guard_taken[g0 + j]
-                        if mism.any():
-                            guard_div_at[sel] = np.minimum(
-                                guard_div_at[sel],
-                                np.where(mism, g0 + j, self._n))
-                else:  # pragma: no cover
-                    raise ValueError(f"unknown opcode {op} in block")
+        if step >= 0:
+            tr, n = self.trace, self._n
 
-                if grp_pend is not None:
-                    m = grp_pend & (grp_rows == j)
-                    if m.any():
-                        v[m] = corrupted[sel[m]]
-                sub[blk.dst[j]] = v
-                if blkvals is not None:
-                    blkvals[j] = v
+            def on_guard(j, pred):
+                row = g0 + j
+                mism = pred != tr.guard_taken[row]
+                if mism.any():
+                    guard_div_at[sel] = np.minimum(
+                        guard_div_at[sel], np.where(mism, row, n))
+        else:
+            def on_guard(j, pred):
+                pass
+
+        run_steps(steps, V, 0, blk.n_rows, on_guard, inject)
+        if blkvals is not None and blk.written:
+            sub[blk.written] = blkvals[blk.last_writer]

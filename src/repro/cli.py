@@ -51,7 +51,6 @@ as JSON.  All three route through :func:`repro.core.run_campaign`.
 from __future__ import annotations
 
 import argparse
-import dataclasses
 import json
 import os
 import sys
@@ -210,17 +209,10 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--executor", default="auto",
                        choices=["auto", "serial", "threads", "processes"],
                        help="execution plane: 'threads' shares the golden "
-                            "trace in-process (replay kernels release the "
+                            "trace in-process (NumPy replay releases the "
                             "GIL), 'processes' publishes it zero-copy "
                             "through shared memory; 'auto' picks threads "
                             "unless a retry policy needs process isolation")
-        p.add_argument("--backend", default="auto",
-                       choices=["auto", "interp", "compiled"],
-                       help="replay backend: 'compiled' traces each "
-                            "campaign through per-tape generated kernels, "
-                            "'interp' uses the reference interpreter; "
-                            "'auto' prefers compiled (bit-identical "
-                            "results either way)")
         if autotune:
             p.add_argument("--autotune", action="store_true",
                            help="calibrate the replay lane width with a "
@@ -573,11 +565,6 @@ def build_parser() -> argparse.ArgumentParser:
                    metavar="SUBSTRING",
                    help="run only matrix cases whose name contains "
                         "SUBSTRING (repeatable)")
-    p.add_argument("--backend", default=None,
-                   choices=["auto", "interp", "compiled"],
-                   help="force every matrix case onto one replay backend "
-                        "(mode='backend' rows ignore this: they always "
-                        "measure both)")
     p.add_argument("--compare", default=None, metavar="BASELINE",
                    help="compare against a committed BENCH_*.json baseline "
                         "and exit non-zero on a throughput regression")
@@ -795,7 +782,7 @@ def _cmd_exhaustive(args, out) -> int:
     result = core.run_campaign(wl, _campaign_config(
         mode="exhaustive", n_workers=args.workers, retry_policy=policy,
         checkpoint=checkpoint, executor=args.executor,
-        backend=args.backend, autotune=args.autotune, **obs_kwargs))
+        autotune=args.autotune, **obs_kwargs))
     golden = result.exhaustive
     rio.save_exhaustive(args.out, golden)
     _finish_obs(args, result, sink, out)
@@ -817,8 +804,7 @@ def _cmd_sample(args, out) -> int:
         mode="monte_carlo", sampling_rate=args.rate, seed=args.seed,
         use_filter=not args.no_filter, n_workers=args.workers,
         retry_policy=policy, checkpoint=checkpoint,
-        executor=args.executor, backend=args.backend,
-        autotune=args.autotune, **obs_kwargs))
+        executor=args.executor, autotune=args.autotune, **obs_kwargs))
     sampled, boundary = result.sampled, result.boundary
     rio.save_boundary(args.boundary_out, boundary)
     if args.sampled_out:
@@ -851,7 +837,7 @@ def _cmd_adaptive(args, out) -> int:
         mode="adaptive", seed=args.seed, progressive=config,
         n_workers=args.workers, retry_policy=policy,
         checkpoint=checkpoint, executor=args.executor,
-        backend=args.backend, autotune=args.autotune, **obs_kwargs))
+        autotune=args.autotune, **obs_kwargs))
     rio.save_boundary(args.boundary_out, result.boundary)
     if args.sampled_out:
         rio.save_sampled(args.sampled_out, result.sampled)
@@ -1006,7 +992,7 @@ def _cmd_compose(args, out) -> int:
         result = core.run_campaign(wl, core.CampaignConfig(
             mode="compositional", compose=compose_cfg,
             n_workers=args.workers, retry_policy=policy,
-            executor=args.executor, backend=args.backend, **obs_kwargs))
+            executor=args.executor, **obs_kwargs))
     except ValueError as exc:
         raise SystemExit(str(exc)) from exc
     if args.boundary_out:
@@ -1072,8 +1058,7 @@ def _cmd_optimize(args, out) -> int:
             **_parse_sections(args.sections))
         result = core.run_campaign(wl, core.CampaignConfig(
             mode="compositional", compose=compose_cfg,
-            n_workers=args.workers, executor=args.executor,
-            backend=args.backend, **obs_kwargs))
+            n_workers=args.workers, executor=args.executor, **obs_kwargs))
         model = build_cost_model(wl, modes=search_cfg.modes,
                                  margin=args.margin)
         evaluator = EnvelopeEvaluator.from_summaries(
@@ -1153,8 +1138,14 @@ def _cmd_optimize(args, out) -> int:
     return 0
 
 
-class _DrainRequested(Exception):
-    """Raised by the serve signal handlers to unwind ``serve_forever``."""
+class _DrainRequested(BaseException):
+    """Raised by the serve signal handlers to unwind ``serve_forever``.
+
+    A ``BaseException``, like ``KeyboardInterrupt``: socketserver hands
+    every ``Exception`` raised while it starts a request to
+    ``handle_error`` and keeps serving, which would lose a signal that
+    lands there.
+    """
 
 
 def _install_drain_signals():
@@ -1439,10 +1430,6 @@ def _cmd_bench(args, out) -> int:
             raise SystemExit(f"no bench case matches {args.case!r}; "
                              f"matrix: "
                              f"{[c.name for c in bench.bench_matrix(args.quick)]}")
-    if args.backend is not None:
-        cases = tuple(c if c.mode == "backend" or c.backend_locked
-                      else dataclasses.replace(c, backend=args.backend)
-                      for c in cases)
 
     def progress(i, n, entry):
         print(f"[{i}/{n}] {entry['name']:20s} "

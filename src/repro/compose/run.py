@@ -43,13 +43,6 @@ from .summary import (
 __all__ = ["ComposeConfig", "CompositionalCampaignResult",
            "run_compositional"]
 
-#: ``backend="auto"`` tiering for compositional campaigns: the sample
-#: space is divided by this before comparing against
-#: :data:`~repro.core.campaign.AUTO_COMPILED_MIN_EXPERIMENTS`, raising
-#: the bar 4x over flat campaigns (per-section matrix kernels see only
-#: a handful of reuses each in a cold process).
-COMPOSE_AUTO_SPACE_DIVISOR = 4
-
 
 @dataclass
 class ComposeConfig:
@@ -181,18 +174,9 @@ def run_compositional(workload: Workload,
             tasks = [(sections[i].index, sections[i].start, sections[i].end,
                       sections[i].name, keys[i], eps, cfg.batch_budget)
                      for i in pending]
-            # Section sweeps compile one matrix kernel per (section,
-            # probe-site set) with little reuse in a cold process, so
-            # "auto" needs a larger space than a flat campaign before
-            # compilation amortises.
-            backend = _campaign.resolve_auto_backend(
-                cfg.backend,
-                SampleSpace.of_program(prog).size
-                // COMPOSE_AUTO_SPACE_DIVISOR)
             with _campaign._campaign_executor(workload, cfg.n_workers,
                                               cfg.retry_policy,
-                                              cfg.executor,
-                                              backend) as pool:
+                                              cfg.executor) as pool:
                 try:
                     for j, arrays in pool.run_stream(_task_section, tasks):
                         i = pending[j]

@@ -27,15 +27,6 @@ resilience ``health`` record, the ``checkpoint_path`` (when checkpointed)
 and a ``metrics`` snapshot (when ``CampaignConfig.metrics`` is on), so
 callers stop pattern-matching on per-driver shapes.
 
-``CampaignConfig.backend`` selects the replay engine every worker builds
-(``"interp"`` op-by-op interpreter, ``"compiled"`` trace-compiled kernels,
-``"auto"``); backends are bit-identical, so the knob never changes
-results — only throughput.  ``"auto"`` is tiered on campaign size
-(:func:`resolve_auto_backend`): compiling a tape's kernels costs tens of
-milliseconds per kernel, which a large campaign amortises into a
-multi-x win but a sub-second campaign never recoups, so small
-campaigns stay on the interpreter.
-
 Two fault-tolerance hooks thread through every mode:
 
 * ``retry_policy`` — a :class:`~repro.parallel.resilience.RetryPolicy`
@@ -70,10 +61,13 @@ from typing import Any
 
 import numpy as np
 
-from ..engine.batch import BatchReplayer, calibrate_lanes, lanes_for_budget
+from ..engine.batch import (
+    BatchReplayer,
+    calibrate_lanes,
+    lanes_for_budget,
+    make_replayer,
+)
 from ..engine.classify import Outcome, classify_batch
-from ..engine.compile import BACKENDS as REPLAY_BACKENDS
-from ..engine.compile import make_replayer
 from ..engine.interpreter import GoldenTrace
 from ..engine.program import Program
 from ..kernels.workload import Workload
@@ -120,30 +114,6 @@ CAMPAIGN_MODES = ("exhaustive", "sample", "monte_carlo", "adaptive",
 
 #: Valid :attr:`CampaignConfig.executor` values.
 EXECUTOR_KINDS = ("auto", "serial", "threads", "processes", "dist")
-
-#: Experiment count at which ``backend="auto"`` switches from the
-#: interpreter to the trace-compiled backend.  Compiling a tape's replay
-#: kernels costs tens of milliseconds each (codegen + CPython
-#: ``compile()``); at the measured per-experiment saving the compiled
-#: backend breaks even around 5k experiments on the reference kernels,
-#: so campaigns below this line finish faster on the interpreter.
-AUTO_COMPILED_MIN_EXPERIMENTS = 8192
-
-
-def resolve_auto_backend(backend: str, n_experiments: int) -> str:
-    """Concretise ``backend="auto"`` for a campaign of known size.
-
-    Explicit backends pass through untouched.  ``"auto"`` picks the
-    trace-compiled backend when ``n_experiments`` is large enough to
-    amortise kernel compilation (``AUTO_COMPILED_MIN_EXPERIMENTS``) and
-    the interpreter otherwise.  Both backends are bit-identical, so the
-    choice never affects results.
-    """
-    if backend != "auto":
-        return backend
-    return "compiled" if n_experiments >= AUTO_COMPILED_MIN_EXPERIMENTS \
-        else "interp"
-
 
 # --------------------------------------------------------------------------
 # Worker-side state.  Process-pool workers attach the parent's published
@@ -209,12 +179,11 @@ def _publish_workload_plane(workload: Workload):
     return publish_arrays(arrays, meta)
 
 
-def _init_worker_shm(handle: ShmHandle, backend: str = "auto") -> None:
+def _init_worker_shm(handle: ShmHandle) -> None:
     """Pool-worker initializer: attach the parent's plane zero-copy.
 
-    ``backend`` picks the replay engine; the compiled backend's kernel
-    cache is process-local, so spawned workers recompile lazily from the
-    content key — nothing compiled crosses the process boundary.
+    The replay plan is per process: each worker builds it once from the
+    attached trace.
     """
     global _WL, _REPLAYER, _SHM
     att = attach_arrays(handle)
@@ -238,18 +207,18 @@ def _init_worker_shm(handle: ShmHandle, backend: str = "auto") -> None:
                   description=m["description"], _trace=trace)
     _SHM = att
     _WL = wl
-    _REPLAYER = make_replayer(wl.trace, backend)
+    _REPLAYER = make_replayer(wl.trace)
 
 
-def _init_worker_direct(workload: Workload, backend: str = "auto") -> None:
+def _init_worker_direct(workload: Workload) -> None:
     """Serial/thread-executor initializer: reuse the in-process workload."""
     global _WL, _REPLAYER
     _WL = workload
-    _REPLAYER = make_replayer(workload.trace, backend)
+    _REPLAYER = make_replayer(workload.trace)
 
 
 def _init_worker_cfg_spec(spec: tuple[str, dict], tolerance: float,
-                          norm: str, backend: str = "auto") -> None:
+                          norm: str) -> None:
     """Process-pool initializer for CFG workloads: rebuild from the spec.
 
     CFG golden state (block path, per-step register snapshots) is not the
@@ -263,7 +232,7 @@ def _init_worker_cfg_spec(spec: tuple[str, dict], tolerance: float,
     wl.tolerance = tolerance
     wl.norm = norm
     _WL = wl
-    _REPLAYER = make_replayer(wl.trace, backend)
+    _REPLAYER = make_replayer(wl.trace)
 
 
 def _is_cfg_workload(workload: Workload) -> bool:
@@ -303,7 +272,7 @@ def _resolve_executor_kind(executor: str, n_workers: int | None,
 @contextmanager
 def _campaign_executor(workload: Workload, n_workers: int | None,
                        retry_policy: RetryPolicy | None = None,
-                       executor: str = "auto", backend: str = "auto"):
+                       executor: str = "auto"):
     """Executor for one campaign phase, with shm-plane lifecycle attached.
 
     For process pools the workload plane is published before the pool
@@ -323,13 +292,13 @@ def _campaign_executor(workload: Workload, n_workers: int | None,
                 'executor="dist" needs an active distributed plane; pass '
                 "CampaignConfig.dist (a repro.dist.DistPlane) to "
                 "run_campaign")
-        pool = dist_plane.executor(workload, retry_policy, backend=backend)
+        pool = dist_plane.executor(workload, retry_policy)
     elif kind == "serial":
         pool = SerialExecutor(initializer=_init_worker_direct,
-                              initargs=(workload, backend))
+                              initargs=(workload,))
     elif kind == "threads":
         pool = ThreadPoolCampaignExecutor(initializer=_init_worker_direct,
-                                          initargs=(workload, backend),
+                                          initargs=(workload,),
                                           n_workers=n_workers)
     else:
         if _is_cfg_workload(workload):
@@ -341,12 +310,11 @@ def _campaign_executor(workload: Workload, n_workers: int | None,
                     "(program.spec is None; build through the kernel "
                     "registry or repro.cfg.lower_workload)")
             initializer = _init_worker_cfg_spec
-            initargs = (workload.spec, workload.tolerance, workload.norm,
-                        backend)
+            initargs = (workload.spec, workload.tolerance, workload.norm)
         else:
             plane = _publish_workload_plane(workload)
             initializer = _init_worker_shm
-            initargs = (plane.handle, backend)
+            initargs = (plane.handle,)
         if retry_policy is not None:
             pool = ResilientExecutor(initializer=initializer,
                                      initargs=initargs,
@@ -410,8 +378,7 @@ def _task_aggregate(
 
 def _chunk_flats(workload: Workload, flat: np.ndarray,
                  batch_budget: int, n_workers: int | None = None,
-                 autotune: bool = False,
-                 backend: str = "auto") -> list[np.ndarray]:
+                 autotune: bool = False) -> list[np.ndarray]:
     """Sort experiments by site and cut into replayer-sized chunks.
 
     Sorting groups adjacent sites so each chunk's replay sweep starts as
@@ -428,7 +395,7 @@ def _chunk_flats(workload: Workload, flat: np.ndarray,
     lanes = lanes_for_budget(n_rows, workload.program.dtype.itemsize,
                              batch_budget, n_experiments=int(flat.size))
     if autotune and flat.size:
-        lanes = calibrate_lanes(make_replayer(workload.trace, backend), lanes)
+        lanes = calibrate_lanes(make_replayer(workload.trace), lanes)
     return chunk_for_workers(flat, lanes, n_workers)
 
 
@@ -567,11 +534,6 @@ class CampaignConfig:
     # execution
     n_workers: int | None = None
     executor: str = "auto"
-    #: Replay engine every worker builds: ``"interp"`` (op-by-op
-    #: interpreter), ``"compiled"`` (trace-compiled kernels, see
-    #: :mod:`repro.engine.compile`), or ``"auto"``.  Bit-identical either
-    #: way — the knob only changes throughput.
-    backend: str = "auto"
     #: :class:`~repro.dist.DistPlane` serving ``executor="dist"`` runs;
     #: owned by the caller (CLI / job service), which also closes it
     dist: Any = None
@@ -606,10 +568,6 @@ class CampaignConfig:
             raise ValueError(
                 f"unknown executor {self.executor!r}; "
                 f"expected one of {EXECUTOR_KINDS}")
-        if self.backend not in REPLAY_BACKENDS:
-            raise ValueError(
-                f"unknown replay backend {self.backend!r}; "
-                f"expected one of {REPLAY_BACKENDS}")
         if self.executor == "threads" and self.retry_policy is not None:
             # fail fast: _resolve_executor_kind would reject this at run
             # time, after checkpoints/sinks are already set up
@@ -642,7 +600,6 @@ def _exhaustive_impl(
     checkpoint: CampaignCheckpoint | None = None,
     executor: str = "auto",
     autotune: bool = False,
-    backend: str = "auto",
 ) -> ExhaustiveResult:
     """Run every (site, bit) experiment — the §4.1 ground-truth campaign."""
     space = SampleSpace.of_program(workload.program)
@@ -651,7 +608,7 @@ def _exhaustive_impl(
                                 batch_budget=batch_budget, progress=progress,
                                 retry_policy=retry_policy,
                                 checkpoint=checkpoint, executor=executor,
-                                autotune=autotune, backend=backend)
+                                autotune=autotune)
     pos, bit = space.decode(sampled.flat)
     outcomes = np.empty((space.n_sites, space.bits), dtype=np.uint8)
     inj = np.empty((space.n_sites, space.bits), dtype=np.float64)
@@ -671,7 +628,6 @@ def _experiments_impl(
     checkpoint: CampaignCheckpoint | None = None,
     executor: str = "auto",
     autotune: bool = False,
-    backend: str = "auto",
 ) -> SampledResult:
     """Phase A: classify an arbitrary set of experiments (no propagation).
 
@@ -686,14 +642,12 @@ def _experiments_impl(
     flat = np.asarray(flat, dtype=np.int64)
     if flat.size == 0:
         raise ValueError("no experiments requested")
-    backend = resolve_auto_backend(backend, int(flat.size))
     progress = as_progress(progress)
 
     pinned = checkpoint is not None
     chunks = _chunk_flats(workload, flat, batch_budget,
                           n_workers=None if pinned else n_workers,
-                          autotune=autotune and not pinned,
-                          backend=backend)
+                          autotune=autotune and not pinned)
     results: dict[int, tuple[np.ndarray, np.ndarray]] = {}
     phase = None
     if checkpoint is not None:
@@ -710,7 +664,7 @@ def _experiments_impl(
                 progress.update(done, flat.size)
             if pending:
                 with _campaign_executor(workload, n_workers, retry_policy,
-                                        executor, backend) as pool:
+                                        executor) as pool:
                     try:
                         stream = pool.run_stream(
                             _task_outcomes, [chunks[i] for i in pending])
@@ -747,7 +701,6 @@ def infer_boundary(
     checkpoint: CampaignCheckpoint | None = None,
     executor: str = "auto",
     autotune: bool = False,
-    backend: str = "auto",
 ) -> FaultToleranceBoundary:
     """Phase B: build the Algorithm 1 boundary from a sampled campaign.
 
@@ -777,15 +730,13 @@ def infer_boundary(
     info = np.zeros(len(workload.program), dtype=np.int64)
     health: CampaignHealth | None = None
 
-    backend = resolve_auto_backend(backend, int(masked_flat.size))
     with span("campaign.phase_b", n_masked=int(masked_flat.size),
               use_filter=use_filter, exact_rule=exact_rule):
         if masked_flat.size:
             pinned = checkpoint is not None
             chunks = _chunk_flats(workload, masked_flat, batch_budget,
                                   n_workers=None if pinned else n_workers,
-                                  autotune=autotune and not pinned,
-                                  backend=backend)
+                                  autotune=autotune and not pinned)
             phase = None
             done = 0
             pending = list(range(len(chunks)))
@@ -804,7 +755,7 @@ def infer_boundary(
                 if pending:
                     with _campaign_executor(workload, n_workers,
                                             retry_policy,
-                                            executor, backend) as pool:
+                                            executor) as pool:
                         try:
                             for j, (d, i, k) in pool.run_stream(
                                     _task_aggregate, tasks):
@@ -847,7 +798,6 @@ def _monte_carlo_impl(
     checkpoint: CampaignCheckpoint | None = None,
     executor: str = "auto",
     autotune: bool = False,
-    backend: str = "auto",
 ) -> tuple[SampledResult, FaultToleranceBoundary]:
     """Uniform-sampling campaign (§4.2): sample, run, infer.
 
@@ -867,7 +817,7 @@ def _monte_carlo_impl(
                                 progress=progress,
                                 retry_policy=retry_policy,
                                 checkpoint=checkpoint, executor=executor,
-                                autotune=autotune, backend=backend)
+                                autotune=autotune)
     boundary = infer_boundary(workload, sampled, use_filter=use_filter,
                               exact_rule=exact_rule,
                               rel_info_threshold=rel_info_threshold,
@@ -876,7 +826,7 @@ def _monte_carlo_impl(
                               progress=progress,
                               retry_policy=retry_policy,
                               checkpoint=checkpoint, executor=executor,
-                              autotune=autotune, backend=backend)
+                              autotune=autotune)
     return sampled, boundary
 
 
@@ -894,7 +844,6 @@ def _adaptive_impl(
     checkpoint: CampaignCheckpoint | None = None,
     executor: str = "auto",
     autotune: bool = False,
-    backend: str = "auto",
 ) -> AdaptiveResult:
     """Progressive adaptive-sampling campaign (§3.4).
 
@@ -915,14 +864,11 @@ def _adaptive_impl(
     config = config or ProgressiveConfig()
     progress = as_progress(progress)
     space = SampleSpace.of_program(workload.program)
-    # Rounds are individually small but replay the same trace, so tier
-    # "auto" on the whole space once rather than per round.
-    backend = resolve_auto_backend(backend, space.size)
     sampler = ProgressiveSampler(space, config, rng)
     predictor = BoundaryPredictor(workload.trace)
 
     guide = ThresholdAggregator(workload.trace, caps=None)
-    guide_replayer = make_replayer(workload.trace, backend)
+    guide_replayer = make_replayer(workload.trace)
     total: SampledResult | None = None
     history: list[dict] = []
     health: CampaignHealth | None = None
@@ -962,8 +908,7 @@ def _adaptive_impl(
                                           progress=progress,
                                           retry_policy=retry_policy,
                                           executor=executor,
-                                          autotune=autotune,
-                                          backend=backend)
+                                          autotune=autotune)
             sampler.record_round(round_res.outcomes)
             total = (round_res if total is None
                      else total.merged_with(round_res))
@@ -1015,7 +960,7 @@ def _adaptive_impl(
                               progress=progress,
                               retry_policy=retry_policy,
                               checkpoint=checkpoint, executor=executor,
-                              autotune=autotune, backend=backend)
+                              autotune=autotune)
     if boundary.health is not None:
         health = (boundary.health if health is None
                   else health.merged_with(boundary.health))
@@ -1036,8 +981,7 @@ def _dispatch_exhaustive(workload: Workload,
                               progress=cfg.progress,
                               retry_policy=cfg.retry_policy,
                               checkpoint=cfg.checkpoint,
-                              executor=cfg.executor, autotune=cfg.autotune,
-                              backend=cfg.backend)
+                              executor=cfg.executor, autotune=cfg.autotune)
     return ExhaustiveCampaignResult(exhaustive=golden, health=golden.health)
 
 
@@ -1053,8 +997,7 @@ def _dispatch_sample(workload: Workload,
                                 retry_policy=cfg.retry_policy,
                                 checkpoint=cfg.checkpoint,
                                 executor=cfg.executor,
-                                autotune=cfg.autotune,
-                                backend=cfg.backend)
+                                autotune=cfg.autotune)
     return SampleCampaignResult(sampled=sampled, health=sampled.health)
 
 
@@ -1070,8 +1013,7 @@ def _dispatch_monte_carlo(workload: Workload,
         n_workers=cfg.n_workers, batch_budget=cfg.batch_budget,
         progress=cfg.progress,
         retry_policy=cfg.retry_policy, checkpoint=cfg.checkpoint,
-        executor=cfg.executor, autotune=cfg.autotune,
-        backend=cfg.backend)
+        executor=cfg.executor, autotune=cfg.autotune)
     health = sampled.health
     if boundary.health is not None:
         health = (boundary.health if health is None
@@ -1092,8 +1034,7 @@ def _dispatch_adaptive(workload: Workload,
                           progress=cfg.progress,
                           retry_policy=cfg.retry_policy,
                           checkpoint=cfg.checkpoint,
-                          executor=cfg.executor, autotune=cfg.autotune,
-                          backend=cfg.backend)
+                          executor=cfg.executor, autotune=cfg.autotune)
 
 
 def _dispatch_compositional(workload: Workload,
@@ -1112,33 +1053,17 @@ _DISPATCH = {
 }
 
 
-def _normalize_cfg_config(workload: Workload,
-                          config: CampaignConfig) -> CampaignConfig:
-    """Config-time validation of CFG-incompatible knobs (fail fast).
+def _check_cfg_config(workload: Workload, config: CampaignConfig) -> None:
+    """Reject ``mode="compositional"`` for CFG workloads (fail fast).
 
-    The compiled backend and sectioned (compositional) replay are
-    straight-line-only in this revision: ``backend="compiled"`` and
-    ``mode="compositional"`` raise here, before any pool or checkpoint is
-    set up, and ``backend="auto"`` resolves to the interpreter — recorded
-    via the ``campaign.backend_fallback`` metric so large CFG campaigns
-    that would have tiered into the compiled backend stay observable.
+    Sectioned replay is straight-line-only, so this raises before any
+    pool or checkpoint is set up.
     """
-    if not _is_cfg_workload(workload):
-        return config
-    if config.mode == "compositional":
+    if _is_cfg_workload(workload) and config.mode == "compositional":
         raise ValueError(
             'mode="compositional" requires sectioned straight-line replay; '
             "CFG workloads cannot be sectioned (run another mode, or "
             "compose on the straight-line program before lowering)")
-    if config.backend == "compiled":
-        raise ValueError(
-            "backend='compiled' does not support CFG workloads yet; use "
-            "backend='interp' (or 'auto', which falls back to the "
-            "interpreter)")
-    if config.backend == "auto":
-        _metrics.inc("campaign.backend_fallback")
-        config = replace(config, backend="interp")
-    return config
 
 
 def run_campaign(workload: Workload,
@@ -1160,8 +1085,7 @@ def run_campaign(workload: Workload,
     the duration of the run and the campaign's own contribution (fleet-wide
     across pool workers) is attached as ``result.metrics``; with a
     ``config.trace_sink``, tracing spans of the run stream into it.
-    Neither alters campaign numerics, and neither does the replay backend:
-    ``backend="compiled"`` results are bit-for-bit the interpreter's.
+    Neither alters campaign numerics.
     """
     if config is None:
         config = CampaignConfig(**overrides)
@@ -1180,7 +1104,7 @@ def run_campaign(workload: Workload,
         TRACER.enabled = True
 
     try:
-        config = _normalize_cfg_config(workload, config)
+        _check_cfg_config(workload, config)
         with span(f"campaign.{config.mode}", mode=config.mode,
                   kernel=workload.name or "unnamed",
                   n_workers=config.n_workers or 1,

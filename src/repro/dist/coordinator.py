@@ -141,8 +141,6 @@ class NodeHandle:
     alive: bool = True
     #: workload key the node was last welcomed with
     welcomed_key: str | None = None
-    #: replay backend the node's worker pool was initialised with
-    welcomed_backend: str | None = None
     #: serializes frame writes (leases, welcome, shutdown)
     send_lock: threading.Lock = field(default_factory=threading.Lock,
                                       repr=False)
@@ -217,10 +215,9 @@ class DistPlane:
         return True
 
     def executor(self, workload: Workload,
-                 retry_policy: RetryPolicy | None = None,
-                 backend: str = "auto") -> "DistExecutor":
+                 retry_policy: RetryPolicy | None = None) -> "DistExecutor":
         """A campaign executor for one phase, borrowing this plane."""
-        return DistExecutor(self, workload, retry_policy, backend)
+        return DistExecutor(self, workload, retry_policy)
 
     def close(self) -> None:
         """Tell nodes to exit, drop every connection, stop accepting."""
@@ -246,7 +243,7 @@ class DistPlane:
 
     # ----------------------------------------------------- executor seam
 
-    def _begin_phase(self, workload: Workload, backend: str = "auto") -> int:
+    def _begin_phase(self, workload: Workload) -> int:
         """Bind the phase's workload, welcome nodes, bump the epoch.
 
         The epoch tags every lease and result frame, so results from
@@ -269,7 +266,6 @@ class DistPlane:
                 "type": "welcome",
                 "spec": [spec[0], spec[1]],
                 "workload_key": key,
-                "backend": backend,
                 "tolerance": workload.tolerance,
                 "norm": workload.norm,
                 "heartbeat_s": self.config.heartbeat_s,
@@ -282,9 +278,7 @@ class DistPlane:
 
     def _welcome_node(self, node: NodeHandle) -> None:
         welcome = self._welcome
-        if welcome is None or (
-                node.welcomed_key == welcome["workload_key"]
-                and node.welcomed_backend == welcome.get("backend", "auto")):
+        if welcome is None or node.welcomed_key == welcome["workload_key"]:
             if welcome is not None:
                 # same workload: just refresh the node's epoch
                 try:
@@ -296,7 +290,6 @@ class DistPlane:
         try:
             node.send(welcome)
             node.welcomed_key = welcome["workload_key"]
-            node.welcomed_backend = welcome.get("backend", "auto")
         except OSError:
             self._kill_node(node.node_id, "send failed")
 
@@ -400,11 +393,9 @@ class DistExecutor:
     """
 
     def __init__(self, plane: DistPlane, workload: Workload,
-                 retry_policy: RetryPolicy | None = None,
-                 backend: str = "auto"):
+                 retry_policy: RetryPolicy | None = None):
         self._plane = plane
         self._workload = workload
-        self._backend = backend
         self.policy = retry_policy or RetryPolicy()
         self.health = CampaignHealth()
         self._seq = itertools.count(1)
@@ -432,7 +423,7 @@ class DistExecutor:
             return
         keys = [self._content_key(kind, task) for task in tasks]
         key_to_index = {k: i for i, k in enumerate(keys)}
-        epoch = self._plane._begin_phase(self._workload, self._backend)
+        epoch = self._plane._begin_phase(self._workload)
 
         todo: deque[tuple[int, int]] = deque(
             (i, 0) for i in range(len(tasks)))
@@ -450,8 +441,7 @@ class DistExecutor:
                 self._promote_waiting(todo, waiting)
                 self._plane._sweep_liveness()
                 live = [n for n in self._plane.live_nodes()
-                        if n.welcomed_key == self._wkey
-                        and n.welcomed_backend == self._backend]
+                        if n.welcomed_key == self._wkey]
 
                 if not live and not leases:
                     if empty_since is None:
@@ -680,7 +670,7 @@ class DistExecutor:
         from ..core import campaign as _campaign
         self.health.degraded_to_serial = True
         _inc("resilience.degraded_to_serial")
-        _campaign._init_worker_direct(self._workload, self._backend)
+        _campaign._init_worker_direct(self._workload)
         for _, index, attempts in waiting:
             todo.append((index, attempts))
         waiting.clear()

@@ -53,7 +53,6 @@ class NodeAgent:
         self._stop = threading.Event()
         self._pool: ThreadPoolExecutor | None = None
         self._workload_key: str | None = None
-        self._backend = "auto"
         self._epoch = 0
         self._heartbeat_s = 0.5
 
@@ -131,10 +130,9 @@ class NodeAgent:
         """Rebuild the campaign workload from its spec; verify the key."""
         name, params = msg["spec"]
         expected = msg["workload_key"]
-        backend = msg.get("backend", "auto")
         self._epoch = int(msg.get("epoch", self._epoch))
         self._heartbeat_s = float(msg.get("heartbeat_s", self._heartbeat_s))
-        if self._workload_key == expected and self._backend == backend:
+        if self._workload_key == expected:
             return True  # same campaign workload; keep the warm pool
         try:
             workload = from_spec((name, dict(params)))
@@ -152,13 +150,12 @@ class NodeAgent:
             return False
 
         from ..core import campaign as _campaign
-        _campaign._init_worker_direct(workload, backend)
+        _campaign._init_worker_direct(workload)
         if self._pool is not None:
             self._pool.shutdown(wait=True)
         self._pool = ThreadPoolExecutor(
             max_workers=self.n_workers, thread_name_prefix="repro-dist-node")
         self._workload_key = expected
-        self._backend = backend
         return True
 
     def _accept_lease(self, msg: dict) -> None:

@@ -16,14 +16,9 @@ from .batch import (
     ReplayBatch,
     calibrate_lanes,
     lanes_for_budget,
+    make_replayer,
 )
 from .classify import Outcome, OutputComparator, classify_batch, output_error
-from .compile import (
-    BACKENDS,
-    CompiledReplayer,
-    make_replayer,
-    trace_fingerprint,
-)
 from .dataflow import (
     DataflowInfo,
     consumers_of,
@@ -39,9 +34,7 @@ from .transform import TransformResult, eliminate_dead, fold_constants
 
 __all__ = [
     "ARITY",
-    "BACKENDS",
     "BatchReplayer",
-    "CompiledReplayer",
     "DataflowInfo",
     "GoldenTrace",
     "Opcode",
@@ -75,5 +68,4 @@ __all__ = [
     "make_replayer",
     "output_error",
     "random_word_corruptions",
-    "trace_fingerprint",
 ]

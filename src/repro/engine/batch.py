@@ -34,10 +34,10 @@ import numpy as np
 from ..obs import metrics as _metrics
 from .bitflip import flip_bits
 from .interpreter import GoldenTrace
-from .program import Opcode
+from .plan import plan_for, run_steps
 
 __all__ = ["BatchReplayer", "ReplayBatch", "PropagationSink",
-           "calibrate_lanes", "lanes_for_budget"]
+           "calibrate_lanes", "lanes_for_budget", "make_replayer"]
 
 
 class PropagationSink(Protocol):
@@ -182,29 +182,26 @@ class ReplayBatch:
 class BatchReplayer:
     """Replays batches of single-bit-flip experiments over one golden trace.
 
-    This is the op-by-op *interpreter* backend — the reference semantics.
-    :func:`repro.engine.compile.make_replayer` selects between it and the
-    trace-compiled backend behind the same ``replay`` / ``replay_values``
-    / ``sweep_section`` contract.
+    Every call executes the trace's shared
+    :class:`~repro.engine.plan.ReplayPlan` with the one interpreter loop
+    (:func:`~repro.engine.plan.run_steps`): outcome-only replays run the
+    slot map in a cache-sized ``(n_slots, lanes)`` buffer; sink replays
+    and :meth:`sweep_section` run the identity map into the full
+    ``(rows, lanes)`` value matrix.  Un-corrupted lanes recompute the
+    golden values exactly (same ufuncs, same operand precision).
     """
-
-    backend = "interp"
 
     def __init__(self, trace: GoldenTrace):
         self.trace = trace
         self.program = trace.program
         prog = self.program
         self._n = len(prog)
-        # Python-native copies for the dispatch loop (attribute/index access
-        # on ndarray scalars is an order of magnitude slower).
-        self._ops = prog.ops.tolist()
-        self._opnd = prog.operands.tolist()
-        self._gold = trace.values  # numpy scalars keep program precision
+        self._gold = trace.values  # program precision
         self._gold64 = trace.values.astype(np.float64)
         self._guard_taken = trace.guard_taken
         self._outputs = prog.outputs
-        self._gold_out64 = self._gold64[self._outputs]
         self._site_ok = prog.is_site
+        self._plan = plan_for(trace)
 
     # ------------------------------------------------------------------ entry
 
@@ -263,11 +260,7 @@ class BatchReplayer:
     def _prepare_injection(
         self, sites: np.ndarray, corrupted: np.ndarray,
     ) -> tuple[np.ndarray, dict[int, tuple[np.ndarray, np.ndarray]]]:
-        """Injected-error magnitudes plus the site -> (lanes, values) map.
-
-        Shared by the interpreter and compiled backends so both inject in
-        the identical lane order.
-        """
+        """Injected-error magnitudes plus the site -> (lanes, values) map."""
         with np.errstate(invalid="ignore", over="ignore"):
             inj_err = np.abs(corrupted.astype(np.float64) - self._gold64[sites])
             inj_err[~np.isfinite(inj_err)] = np.inf
@@ -290,33 +283,27 @@ class BatchReplayer:
         k = sites.size
         start = int(sites.min())
         rows = self._n - start
-        dtype = self.program.dtype
         metered = _metrics.METRICS.enabled
         if metered:
             t_replay = time.perf_counter()
 
         inj_err, inject = self._prepare_injection(sites, corrupted)
-
-        vals = np.empty((rows, k), dtype=dtype)
         diverged_at = np.full(k, self._n, dtype=np.int64)
-        self._sweep(start, self._n, vals, inject, diverged_at)
-
-        if sink is not None:
+        if sink is None:
+            out = self._sweep_slots(start, k, inject, diverged_at)
+        else:
+            vals = self._sweep_rows(start, self._n, k, inject, None,
+                                    diverged_at)
             with np.errstate(invalid="ignore", over="ignore"):
-                abs_diff = np.abs(vals.astype(np.float64)
-                                  - self._gold64[start:, None])
+                abs_diff = vals.astype(np.float64)
+                np.subtract(abs_diff, self._gold64[start:, None],
+                            out=abs_diff)
+                np.abs(abs_diff, out=abs_diff)
                 abs_diff[~np.isfinite(abs_diff)] = np.inf
             valid = (np.arange(start, self._n, dtype=np.int64)[:, None]
                      < diverged_at[None, :])
             sink.consume(start, abs_diff, valid, sites, bits)
-
-        out = np.empty((len(self._outputs), k), dtype=np.float64)
-        with np.errstate(invalid="ignore"):
-            for j, o in enumerate(self._outputs):
-                if o >= start:
-                    out[j] = vals[o - start]
-                else:
-                    out[j] = self._gold64[o]
+            out = self._outputs_of(vals, start)
 
         if metered:
             _metrics.inc("replay.batches")
@@ -363,8 +350,8 @@ class BatchReplayer:
             :meth:`replay` (``instr`` must lie in ``[start, stop)``).
         overrides:
             ``{instr: lane_vector}`` for instructions *before* ``start``:
-            whenever such an operand is fetched, the ``(n_lanes,)`` vector
-            (program dtype) is used instead of the golden scalar.
+            the ``(n_lanes,)`` vector (program dtype) replaces the golden
+            value of that live-in.
 
         Returns
         -------
@@ -373,9 +360,9 @@ class BatchReplayer:
         guard in the section diverged).
         """
         self._check_section_args(start, stop, n_lanes, inject, overrides)
-        vals = np.empty((stop - start, n_lanes), dtype=self.program.dtype)
         diverged_at = np.full(n_lanes, self._n, dtype=np.int64)
-        self._sweep(start, stop, vals, inject or {}, diverged_at, overrides)
+        vals = self._sweep_rows(start, stop, n_lanes, inject or {},
+                                overrides, diverged_at)
         return vals, diverged_at
 
     def _check_section_args(
@@ -408,89 +395,91 @@ class BatchReplayer:
                     f"override keys {bad} must precede section start "
                     f"{start}")
 
-    # ------------------------------------------------------------- inner loop
+    # --------------------------------------------------------- plan sweeps
 
-    def _sweep(
+    def _on_guard(self, diverged_at: np.ndarray):
+        """Guard hook: record the first row whose direction left golden."""
+        taken, n = self._guard_taken, self._n
+
+        def on_guard(i: int, pred: np.ndarray) -> None:
+            np.minimum(diverged_at, np.where(pred != taken[i], i, n),
+                       out=diverged_at)
+        return on_guard
+
+    def _sweep_slots(
+        self,
+        start: int,
+        k: int,
+        inject: dict[int, tuple[np.ndarray, np.ndarray]],
+        diverged_at: np.ndarray,
+    ) -> np.ndarray:
+        """Outcome-only sweep over the slot map; returns the outputs.
+
+        Injections into rows the map skips are dropped: such a row reaches
+        no output and no guard, so it cannot change the outcome.
+        """
+        plan = self._plan
+        buf = np.empty((plan.n_slots, k), dtype=self.program.dtype)
+        live = plan.live_ins(start, slot_map=True)
+        buf[plan.slot[live]] = self._gold[live, None]
+        hits = [(int(plan.slot_pos[r]), int(plan.slot[r]), *inject[r])
+                for r in sorted(inject) if plan.slot_pos[r] >= 0]
+        run_steps(plan.slot_steps, list(buf), plan.first_slot_pos(start),
+                  len(plan.slot_steps), self._on_guard(diverged_at), hits)
+        return self._outputs_of(buf, start, plan.slot)
+
+    def _sweep_rows(
         self,
         start: int,
         stop: int,
-        vals: np.ndarray,
+        n_lanes: int,
         inject: dict[int, tuple[np.ndarray, np.ndarray]],
+        overrides: dict[int, np.ndarray] | None,
         diverged_at: np.ndarray,
-        overrides: dict[int, np.ndarray] | None = None,
-    ) -> None:
-        """Evaluate instructions ``start .. stop-1`` across all lanes in-place."""
-        gold = self._gold
-        ops = self._ops
-        opnd = self._opnd
-        n = self._n
+    ) -> np.ndarray:
+        """Identity-map sweep of rows ``[start, stop)``; returns the matrix."""
+        plan = self._plan
         dtype = self.program.dtype
+        vals = np.empty((stop - start, n_lanes), dtype=dtype)
+        live = plan.live_ins(start, slot_map=False)
+        fill = np.empty((live.size, n_lanes), dtype=dtype)
+        fill[:] = self._gold[live, None]
+        V = [None] * start + list(vals)
+        for r, row in zip(live.tolist(), fill):
+            V[r] = row
+        for r, vec in (overrides or {}).items():
+            if V[r] is not None:  # rows nothing in the section reads stay out
+                V[r][:] = vec
+        hits = [(r, r, *inject[r]) for r in sorted(inject)]
+        run_steps(plan.steps, V, start, stop, self._on_guard(diverged_at),
+                  hits)
+        return vals
 
-        CONST, INPUT, COPY = int(Opcode.CONST), int(Opcode.INPUT), int(Opcode.COPY)
-        ADD, SUB, MUL, DIV = int(Opcode.ADD), int(Opcode.SUB), int(Opcode.MUL), int(Opcode.DIV)
-        NEG, ABS, SQRT, FMA = int(Opcode.NEG), int(Opcode.ABS), int(Opcode.SQRT), int(Opcode.FMA)
-        MAX, MIN = int(Opcode.MAX), int(Opcode.MIN)
-        GGT, GLE = int(Opcode.GUARD_GT), int(Opcode.GUARD_LE)
+    def _outputs_of(self, buf: np.ndarray, start: int,
+                    slot: np.ndarray | None = None) -> np.ndarray:
+        """``(n_outputs, lanes)`` float64 outputs of one sweep.
 
-        consts = self.program.consts.astype(dtype)
-        inputs = self.program.inputs.astype(dtype)
-        guard_taken = self._guard_taken
+        Output rows below ``start`` are golden; the rest are read from
+        ``buf`` at their slot, or at ``row - start`` for the identity map.
+        """
+        outs = self._outputs
+        out = np.empty((len(outs), buf.shape[1]), dtype=np.float64)
+        late = outs >= start
+        index = outs[late] - start if slot is None else slot[outs[late]]
+        with np.errstate(invalid="ignore"):
+            out[late] = buf[index]
+        out[~late] = self._gold64[outs[~late], None]
+        return out
 
-        if overrides is None:
-            def fetch(a: int):
-                # Operand row: lane vector if computed in this sweep, else
-                # the (scalar, program-precision) golden value — lanes are
-                # identical before their injection site.
-                return vals[a - start] if a >= start else gold[a]
-        else:
-            def fetch(a: int):
-                if a >= start:
-                    return vals[a - start]
-                hit = overrides.get(a)
-                return gold[a] if hit is None else hit
 
-        with np.errstate(all="ignore"):
-            for i in range(start, stop):
-                row = vals[i - start]
-                op = ops[i]
-                a, b, c = opnd[i]
-                if op == ADD:
-                    np.add(fetch(a), fetch(b), out=row)
-                elif op == SUB:
-                    np.subtract(fetch(a), fetch(b), out=row)
-                elif op == MUL:
-                    np.multiply(fetch(a), fetch(b), out=row)
-                elif op == FMA:
-                    np.multiply(fetch(a), fetch(b), out=row)
-                    np.add(row, fetch(c), out=row)
-                elif op == DIV:
-                    np.divide(fetch(a), fetch(b), out=row)
-                elif op == NEG:
-                    np.negative(fetch(a), out=row)
-                elif op == ABS:
-                    np.abs(fetch(a), out=row)
-                elif op == SQRT:
-                    np.sqrt(fetch(a), out=row)
-                elif op == MAX:
-                    np.maximum(fetch(a), fetch(b), out=row)
-                elif op == MIN:
-                    np.minimum(fetch(a), fetch(b), out=row)
-                elif op == COPY:
-                    row[:] = fetch(a)
-                elif op == CONST:
-                    row[:] = consts[i]
-                elif op == INPUT:
-                    row[:] = inputs[a]
-                elif op == GGT or op == GLE:
-                    pred = (fetch(a) > fetch(b)) if op == GGT else (fetch(a) <= fetch(b))
-                    pred = np.broadcast_to(np.asarray(pred), row.shape)
-                    row[:] = pred.astype(dtype)
-                    mismatch = pred != guard_taken[i]
-                    np.minimum(diverged_at, np.where(mismatch, i, n), out=diverged_at)
-                else:  # pragma: no cover
-                    raise ValueError(f"unknown opcode {op} at instruction {i}")
+def make_replayer(trace: GoldenTrace):
+    """The replayer for ``trace``: :class:`BatchReplayer` for a tape, the
+    CFG lane replayer for a :class:`~repro.cfg.interpreter.CfgGoldenTrace`.
 
-                hit = inject.get(i)
-                if hit is not None:
-                    lanes, corrupt = hit
-                    row[lanes] = corrupt
+    Both share the ``replay`` / ``replay_values`` contract, so campaign
+    drivers, sinks and classifiers never ask which one they hold.
+    """
+    if hasattr(trace, "block_path"):  # CFG golden trace
+        from ..cfg.replay import CfgLaneReplayer
+        return CfgLaneReplayer(trace)
+    return BatchReplayer(trace)

@@ -52,11 +52,6 @@ Report schema (``schema = "repro-bench"``, version 1)::
             "n_nodes": ..., "leases_granted": ...,
             "results_streamed": ..., "leases_served": ...,
             "node_deaths": ...
-          },
-          "backend": {                     # mode="backend" cases only
-            "interp_wall_s": ..., "interp_exps_per_s": ...,
-            "compiled_wall_s": ..., "compiled_exps_per_s": ...,
-            "speedup": ..., "parity": <bool>
           }
         }, ...
       ]
@@ -115,27 +110,14 @@ class BenchCase:
     #: greedy baseline), "serve" (boundary point-query throughput over HTTP
     #: against a warm artifact cache), "serve_replicas" (the same query
     #: load driven concurrently against an SO_REUSEPORT replica fleet
-    #: vs a single replica), "dist" (exhaustive throughput
+    #: vs a single replica) or "dist" (exhaustive throughput
     #: through the lease-based multi-node campaign plane over localhost
-    #: TCP) or "backend" (interp-vs-compiled replay on the same
-    #: exhaustive campaign, gating on bit-identical results)
+    #: TCP)
     mode: str = "monte_carlo"
     #: execution plane (CampaignConfig.executor); the paired
     #: ``*-procs2``/``*-threads2`` rows measure plane throughput per
     #: kernel at equal worker count
     executor: str = "auto"
-    #: replay backend (CampaignConfig.backend); ``mode="backend"`` rows
-    #: ignore this and run both
-    backend: str = "auto"
-    #: batch byte budget override (None = campaign default).  The
-    #: ``mode="backend"`` rows pin a small budget so the comparison runs
-    #: in the narrow-batch, dispatch-bound regime the compiled backend
-    #: targets; at the default budget both backends are NumPy-bound and
-    #: the row would measure memory bandwidth, not replay dispatch.
-    batch_budget: int | None = None
-    #: the row's backend is part of its definition and must survive a
-    #: CLI-wide ``--backend`` override (CFG kernels replay interp-only)
-    backend_locked: bool = False
 
 
 #: Smallest configuration per kernel, serial, plus one executor pair —
@@ -156,18 +138,10 @@ QUICK_MATRIX = (
               mode="exhaustive", executor="threads"),
     BenchCase("cg-n8-dist2", "cg", {"n": 8, "iters": 8}, n_workers=2,
               mode="dist", executor="dist"),
-    BenchCase("cg-n8-backend", "cg", {"n": 8, "iters": 8}, mode="backend",
-              batch_budget=1 << 18),
-    BenchCase("lu-n8-backend", "lu", {"n": 8, "block": 4}, mode="backend",
-              batch_budget=1 << 18),
-    BenchCase("fft-n16-backend", "fft", {"n": 16}, mode="backend",
-              batch_budget=1 << 18),
     # CFG lane replay: a loop kernel (back-edge, hang budget) and a
-    # branchy acyclic kernel (pivot diamonds) through the interp path
-    BenchCase("cg-dyn-n8-exh", "cg-dyn", {"n": 8}, mode="exhaustive",
-              backend="interp", backend_locked=True),
-    BenchCase("lu-pivot-n4-exh", "lu-pivot", {"n": 4}, mode="exhaustive",
-              backend="interp", backend_locked=True),
+    # branchy acyclic kernel (pivot diamonds)
+    BenchCase("cg-dyn-n8-exh", "cg-dyn", {"n": 8}, mode="exhaustive"),
+    BenchCase("lu-pivot-n4-exh", "lu-pivot", {"n": 4}, mode="exhaustive"),
 )
 
 #: Two sizes per kernel, serial and pooled, plus per-kernel executor pairs.
@@ -268,8 +242,7 @@ def _run_compose_case(case: BenchCase) -> dict:
     t0 = time.perf_counter()
     run_campaign(wl, CampaignConfig(mode="exhaustive",
                                     n_workers=case.n_workers,
-                                    executor=case.executor,
-                                    backend=case.backend))
+                                    executor=case.executor))
     mono_wall = time.perf_counter() - t0
 
     with tempfile.TemporaryDirectory(prefix="repro-bench-compose-") as d:
@@ -277,7 +250,6 @@ def _run_compose_case(case: BenchCase) -> dict:
                                 compose={"cache_dir": d},
                                 n_workers=case.n_workers,
                                 executor=case.executor,
-                                backend=case.backend,
                                 metrics=True, trace_sink=sink)
         t0 = time.perf_counter()
         cold = run_campaign(wl, config)
@@ -346,7 +318,6 @@ def _run_optimize_case(case: BenchCase) -> dict:
                                 compose={"cache_dir": d},
                                 n_workers=case.n_workers,
                                 executor=case.executor,
-                                backend=case.backend,
                                 metrics=True, trace_sink=sink)
         t0 = time.perf_counter()
         result = run_campaign(wl, config)
@@ -430,7 +401,7 @@ def _run_serve_case(case: BenchCase) -> dict:
     key = workload_key(wl.spec, wl.tolerance, wl.norm)
     result = run_campaign(wl, CampaignConfig(
         mode="monte_carlo", sampling_rate=case.sampling_rate,
-        rng=np.random.default_rng(case.seed), backend=case.backend))
+        rng=np.random.default_rng(case.seed)))
 
     with tempfile.TemporaryDirectory(prefix="repro-bench-serve-") as d:
         from ..serve.client import ServiceClient
@@ -585,7 +556,7 @@ def _run_serve_replicas_case(case: BenchCase) -> dict:
     key = workload_key(wl.spec, wl.tolerance, wl.norm)
     result = run_campaign(wl, CampaignConfig(
         mode="monte_carlo", sampling_rate=case.sampling_rate,
-        rng=np.random.default_rng(case.seed), backend=case.backend))
+        rng=np.random.default_rng(case.seed)))
 
     rng = np.random.default_rng(case.seed)
     n_total = SERVE_BENCH_CLIENTS * SERVE_BENCH_QUERIES_PER_CLIENT
@@ -717,7 +688,6 @@ def _run_dist_case(case: BenchCase) -> dict:
                 "attached")
         config = CampaignConfig(mode="exhaustive", executor="dist",
                                 dist=plane, n_workers=case.n_workers,
-                                backend=case.backend,
                                 metrics=True, trace_sink=sink)
         t0 = time.perf_counter()
         result = run_campaign(wl, config)
@@ -753,89 +723,6 @@ def _run_dist_case(case: BenchCase) -> dict:
     }
 
 
-#: Timed runs per backend in a ``mode="backend"`` bench case; the best
-#: wall clock wins, so the compiled row amortises its one-off kernel
-#: compilation instead of billing it to throughput.
-BACKEND_BENCH_RUNS = 2
-
-
-def _run_backend_case(case: BenchCase) -> dict:
-    """The ``mode="backend"`` bench: interp vs compiled replay.
-
-    Runs the same serial exhaustive campaign once per backend (best of
-    :data:`BACKEND_BENCH_RUNS` timed runs each), asserts the outcome and
-    injected-error grids are bit-identical — a parity failure raises,
-    failing the whole bench run — and reports both throughputs plus the
-    speedup.  The row's headline ``throughput_exps_per_s`` is the
-    compiled number, so the regression gate tracks the fast path.
-    """
-    from .. import kernels
-    from ..core.campaign import CampaignConfig, run_campaign
-
-    wl = kernels.build(case.kernel, **case.params)
-    sink = RecordingSink()
-    budget_kw = {} if case.batch_budget is None \
-        else {"batch_budget": case.batch_budget}
-    results: dict[str, dict] = {}
-    for backend in ("interp", "compiled"):
-        config = CampaignConfig(mode="exhaustive", n_workers=case.n_workers,
-                                executor=case.executor, backend=backend,
-                                metrics=True, trace_sink=sink, **budget_kw)
-        best_wall = None
-        result = None
-        for _ in range(BACKEND_BENCH_RUNS):
-            t0 = time.perf_counter()
-            result = run_campaign(wl, config)
-            wall = time.perf_counter() - t0
-            if best_wall is None or wall < best_wall:
-                best_wall = wall
-        results[backend] = {"result": result, "wall_s": best_wall}
-
-    interp = results["interp"]["result"].exhaustive
-    compiled = results["compiled"]["result"].exhaustive
-    parity = (np.array_equal(interp.outcomes, compiled.outcomes)
-              and np.array_equal(interp.injected_errors,
-                                 compiled.injected_errors,
-                                 equal_nan=True))
-    if not parity:
-        n_bad = int(np.count_nonzero(interp.outcomes != compiled.outcomes))
-        raise RuntimeError(
-            f"bench case {case.name!r}: compiled backend diverged from the "
-            f"interpreter on {n_bad} of {interp.outcomes.size} outcomes")
-
-    n_experiments = int(interp.outcomes.size)
-    interp_wall = results["interp"]["wall_s"]
-    compiled_wall = results["compiled"]["wall_s"]
-    metrics = results["compiled"]["result"].metrics or {}
-    return {
-        "name": case.name,
-        "kernel": case.kernel,
-        "params": dict(case.params),
-        "n_workers": case.n_workers or 1,
-        "executor": case.executor,
-        "sampling_rate": case.sampling_rate,
-        "seed": case.seed,
-        "n_experiments": n_experiments,
-        "wall_s": compiled_wall,
-        "throughput_exps_per_s": (n_experiments / compiled_wall
-                                  if compiled_wall > 0 else 0.0),
-        "chunk_latency_s": {},
-        "peak_rss_kb": metrics.get("gauges", {}).get("rss.peak_kb"),
-        "spans": _span_summary(sink.records),
-        "backend": {
-            "interp_wall_s": interp_wall,
-            "interp_exps_per_s": (n_experiments / interp_wall
-                                  if interp_wall > 0 else 0.0),
-            "compiled_wall_s": compiled_wall,
-            "compiled_exps_per_s": (n_experiments / compiled_wall
-                                    if compiled_wall > 0 else 0.0),
-            "speedup": (interp_wall / compiled_wall
-                        if compiled_wall > 0 else 0.0),
-            "parity": bool(parity),
-        },
-    }
-
-
 def run_case(case: BenchCase) -> dict:
     """Run one bench campaign and summarise it as a report entry."""
     from .. import kernels
@@ -851,8 +738,6 @@ def run_case(case: BenchCase) -> dict:
         return _run_serve_replicas_case(case)
     if case.mode == "dist":
         return _run_dist_case(case)
-    if case.mode == "backend":
-        return _run_backend_case(case)
     wl = kernels.build(case.kernel, **case.params)
     sink = RecordingSink()
     if case.mode == "exhaustive":
@@ -860,7 +745,6 @@ def run_case(case: BenchCase) -> dict:
             mode="exhaustive",
             n_workers=case.n_workers,
             executor=case.executor,
-            backend=case.backend,
             metrics=True,
             trace_sink=sink,
         )
@@ -871,7 +755,6 @@ def run_case(case: BenchCase) -> dict:
             rng=np.random.default_rng(case.seed),
             n_workers=case.n_workers,
             executor=case.executor,
-            backend=case.backend,
             metrics=True,
             trace_sink=sink,
         )
@@ -1037,14 +920,6 @@ def validate_bench(doc: dict) -> list[str]:
                             "results_streamed", "leases_served",
                             "node_deaths"):
                     need(dist, key, int, f"{where} dist")
-        if "backend" in entry:
-            backend = need(entry, "backend", dict, where)
-            if backend is not None:
-                for key in ("interp_wall_s", "interp_exps_per_s",
-                            "compiled_wall_s", "compiled_exps_per_s",
-                            "speedup"):
-                    need(backend, key, (int, float), f"{where} backend")
-                need(backend, "parity", bool, f"{where} backend")
     return problems
 
 

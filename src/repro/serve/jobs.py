@@ -69,7 +69,6 @@ from ..core.campaign import CampaignConfig, run_campaign
 from ..core.checkpoint import CampaignCheckpoint
 from ..core.prediction import BoundaryPredictor
 from ..core.sampling import ProgressiveConfig
-from ..engine.compile import BACKENDS as REPLAY_BACKENDS
 from ..io.store import (
     atomic_write_json,
     save_boundary,
@@ -117,7 +116,7 @@ JOB_MODES = {
 }
 
 _COMMON_OPTIONS = frozenset({
-    "n_workers", "executor", "backend", "batch_budget", "autotune",
+    "n_workers", "executor", "batch_budget", "autotune",
     "max_retries", "task_timeout",
 })
 _MODE_OPTIONS = {
@@ -644,11 +643,6 @@ class JobManager:
             raise ValueError(
                 'options.executor="dist" needs a service started with a '
                 "distributed plane (repro serve --dist-port)")
-        backend = request.options.get("backend", "auto")
-        if backend not in REPLAY_BACKENDS:
-            raise ValueError(
-                f"options.backend must be one of {REPLAY_BACKENDS}, "
-                f"got {backend!r}")
         job_id = "j" + uuid.uuid4().hex[:12]
         job_dir = self._job_dir(job_id)
         job_dir.mkdir(parents=True)
@@ -890,7 +884,6 @@ class JobManager:
         common = dict(
             n_workers=n_workers,
             executor=opts.get("executor", "auto"),
-            backend=opts.get("backend", "auto"),
             autotune=bool(opts.get("autotune", False)),
             progress=progress,
             retry_policy=retry_policy,
@@ -1066,8 +1059,7 @@ class JobManager:
                 mode="compositional", compose=compose,
                 n_workers=n_workers,
                 executor=opts.get("executor", "auto"),
-                backend=opts.get("backend", "auto"),
-                progress=progress)
+                    progress=progress)
             result = run_campaign(workload, campaign_cfg)
 
             search_cfg = _search_config_from_options(opts)

@@ -1,4 +1,4 @@
-"""CFG workloads through ``run_campaign``: taxonomy, executors, backends."""
+"""CFG workloads through ``run_campaign``: taxonomy, executors, config."""
 
 from __future__ import annotations
 
@@ -63,18 +63,10 @@ class TestExecutorParity:
 
 class TestBackendValidation:
     def test_compiled_backend_fails_fast(self, cg_dyn_tiny):
-        with pytest.raises(ValueError, match="compiled"):
+        """There is one replay engine: the old selector is rejected."""
+        with pytest.raises(TypeError, match="backend"):
             core.run_campaign(cg_dyn_tiny, mode="exhaustive",
                               backend="compiled")
-
-    def test_auto_falls_back_to_interp_with_metric(self, lu_pivot_tiny):
-        result = core.run_campaign(lu_pivot_tiny, mode="exhaustive",
-                                   backend="auto", metrics=True)
-        assert result.metrics["counters"]["campaign.backend_fallback"] >= 1
-
-    def test_tape_auto_unaffected(self, cg_tiny):
-        result = core.run_campaign(cg_tiny, mode="exhaustive", metrics=True)
-        assert "campaign.backend_fallback" not in result.metrics["counters"]
 
     def test_compositional_mode_rejected(self, cg_dyn_tiny):
         with pytest.raises(ValueError, match="compositional"):

@@ -97,9 +97,12 @@ class TestCampaignCommands:
         assert counts["DIVERGED"] > 0
 
     def test_compiled_backend_rejected(self, tmp_path):
-        with pytest.raises(ValueError, match="compiled"):
+        """``--backend`` is gone; argparse rejects it as unknown."""
+        with pytest.raises(SystemExit) as exc:
             run_cli(["exhaustive", *CG_DYN, "--backend", "compiled",
                      "--out", str(tmp_path / "x.npz")])
+        assert exc.value.code == 2
+        assert not (tmp_path / "x.npz").exists()
 
     def test_sample_runs_on_cfg(self, tmp_path):
         code, text = run_cli([

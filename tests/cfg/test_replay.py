@@ -7,7 +7,7 @@ import pytest
 
 from repro.cfg.replay import CfgLaneReplayer
 from repro.engine.classify import Outcome, OutputComparator, classify_batch
-from repro.engine.compile import make_replayer
+from repro.engine.batch import make_replayer
 
 from .conftest import build_countdown
 
@@ -30,7 +30,8 @@ class TestReplayMechanics:
         assert isinstance(rep, CfgLaneReplayer)
 
     def test_compiled_backend_rejected(self, countdown):
-        with pytest.raises(ValueError, match="compiled"):
+        """There is one replay engine; the old selector is an error."""
+        with pytest.raises(TypeError, match="backend"):
             make_replayer(countdown.trace, backend="compiled")
 
     def test_empty_batch_rejected(self, countdown_replayer):
@@ -123,3 +124,69 @@ class TestMultiBlockStateThreading:
         assert batch.outputs[0, 0] != pytest.approx(gold_out)
         assert np.isfinite(batch.outputs[0, 0])
         assert not batch.path_diverged[0] and not batch.hung[0]
+
+
+def _build_fma_accumulator(w: float = 1.25):
+    """``acc = fma(k, w, acc)`` in a 3-trip loop: the FMA writes its own
+    addend register (``dst == c``)."""
+    from repro.cfg.builder import CfgBuilder
+
+    b = CfgBuilder(np.float32, name="fma-alias")
+    b.block("init")
+    head = b.block("head")
+    body = b.block("body")
+    exit_ = b.block("exit")
+    k = b.feed("k", 3.0)
+    acc = b.const(0.5)
+    w_val = b.feed("w", w)
+    one = b.const(1.0)
+    zero = b.const(0.0)
+    b.jmp(head)
+    b.switch_to(head)
+    b.br_gt(k, zero, body, exit_)
+    b.switch_to(body)
+    b.fma(k, w_val, acc, out=acc)
+    b.sub(k, one, out=k)
+    b.jmp(head)
+    b.switch_to(exit_)
+    b.mark_output(acc)
+    b.ret()
+    return b.build()
+
+
+class TestRegisterAliasing:
+    """A CFG FMA whose destination is its addend must read the addend
+    before it writes the destination."""
+
+    def test_fma_dst_is_addend(self):
+        from repro.cfg.interpreter import cfg_golden_run
+        from repro.engine.program import Opcode
+
+        prog = _build_fma_accumulator()
+        body = prog.blocks[2]
+        j = int(np.flatnonzero(body.ops == int(Opcode.FMA))[0])
+        assert body.dst[j] == body.operands[j][2]
+
+        trace = cfg_golden_run(prog)
+        rep = CfgLaneReplayer(trace)
+        w_row = 2  # init rows: k, acc, w, one, zero
+        fma_rows = [int(trace.step_starts[t]) + j
+                    for t in np.flatnonzero(trace.block_path == 2)]
+        sites = np.array([w_row, w_row, fma_rows[0], fma_rows[1]])
+        values = np.array([1.25, 2.0, 100.0, -4.0], dtype=np.float32)
+        f32 = np.float32
+        want = [
+            trace.output[0],  # a no-op corruption replays golden
+            cfg_golden_run(_build_fma_accumulator(w=2.0)).output[0],
+            f32(100.0) + f32(2.0) * f32(1.25) + f32(1.0) * f32(1.25),
+            f32(-4.0) + f32(1.0) * f32(1.25),
+        ]
+        for sink in (None, _NullSink()):
+            batch = rep.replay_values(sites, values, sink=sink)
+            assert np.array_equal(batch.outputs[0], np.array(want, float))
+        assert want[0] == np.float32(8.0)
+
+
+class _NullSink:
+    def consume(self, first_instr, abs_diff, valid, sites, bits):
+        pass

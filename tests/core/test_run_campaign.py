@@ -28,7 +28,8 @@ class TestConfigValidation:
             CampaignConfig(batch_budget=0)
 
     def test_unknown_backend_rejected(self):
-        with pytest.raises(ValueError, match="backend"):
+        """There is one replay engine, so no backend field to set."""
+        with pytest.raises(TypeError, match="backend"):
             CampaignConfig(backend="llvm")
 
     def test_sample_mode_needs_experiments(self, cg_tiny):
@@ -104,7 +105,7 @@ class TestLegacyWrappersRetired:
         assert repro.run_campaign is run_campaign
         assert repro.CampaignConfig is CampaignConfig
         from repro import make_replayer
-        from repro.engine.compile import make_replayer as engine_make
+        from repro.engine.batch import make_replayer as engine_make
 
         assert make_replayer is engine_make
 

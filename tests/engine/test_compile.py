@@ -1,9 +1,13 @@
-"""Differential tests: the compiled replay backend vs the interpreter.
+"""Differential tests of the replay plan against the scalar reference.
 
-Every test here asserts *bit-identical* agreement — outputs, injected
-errors, guard-divergence indices and streamed sink matrices — between
-``CompiledReplayer`` and the reference ``BatchReplayer`` on the same
-golden trace, including NaN/inf corruptions and guard-divergent lanes.
+``BatchReplayer`` executes every replay through one per-trace
+:class:`~repro.engine.plan.ReplayPlan`: the slot map for outcome-only
+replays, the identity map when a sink is attached and for
+``sweep_section``.  Every test here asserts *bit-identical* agreement —
+outputs, injected values, guard-divergence indices and streamed sink
+matrices — with ``scalar_injected_run``, which re-executes one experiment
+one instruction at a time, including NaN/inf/-0.0 corruptions, fp64
+tapes, guard-divergent lanes and repeated subexpressions.
 """
 
 from __future__ import annotations
@@ -14,20 +18,14 @@ import pytest
 from repro import kernels
 from repro.engine import (
     BatchReplayer,
-    CompiledReplayer,
     TraceBuilder,
     golden_run,
     make_replayer,
-    trace_fingerprint,
 )
-from repro.engine.compile import (
-    clear_kernel_cache,
-    content_key,
-    kernel_cache_stats,
-    resolve_backend,
-)
+from repro.engine.bitflip import flip_bits
+from repro.engine.plan import plan_for
 
-from ..conftest import build_toy_program
+from ..helpers import scalar_injected_run
 
 
 class RecordingSink:
@@ -45,8 +43,9 @@ def random_tape(seed: int, n_rows: int = 120, dtype=np.float32,
                 guards: bool = False):
     """A seeded random straight-line tape with duplicated subexpressions.
 
-    Repeated identical (op, operands) rows exercise the compiler's local
-    value numbering; optional guards exercise divergence tracking.
+    Repeated identical (op, operands) rows give the slot allocator values
+    that are equal but live in different rows; optional guards exercise
+    divergence tracking.
     """
     rng = np.random.default_rng(seed)
     b = TraceBuilder(dtype, name=f"rand{seed}")
@@ -74,7 +73,7 @@ def random_tape(seed: int, n_rows: int = 120, dtype=np.float32,
         elif op == 7:
             v = b.maximum(a, c)
         else:
-            # duplicate an earlier subexpression verbatim (LVN fodder)
+            # duplicate an earlier subexpression verbatim
             v = a * c
             vals.append(a * c)
         vals.append(v)
@@ -84,27 +83,35 @@ def random_tape(seed: int, n_rows: int = 120, dtype=np.float32,
     return b.build()
 
 
-def assert_batches_identical(a, b):
-    assert np.array_equal(a.sites, b.sites)
-    assert np.array_equal(a.bits, b.bits)
-    assert np.array_equal(a.injected_values, b.injected_values,
-                          equal_nan=True)
-    assert np.array_equal(a.injected_errors, b.injected_errors,
-                          equal_nan=True)
-    assert np.array_equal(a.outputs, b.outputs, equal_nan=True)
-    assert np.array_equal(a.diverged_at, b.diverged_at)
-    assert a.n_instructions == b.n_instructions
+def reference(prog, sites, bits=None, values=None):
+    """Scalar reference per lane: ``(values, outputs, diverged_at)``."""
+    n = len(prog)
+    runs = [scalar_injected_run(
+        prog, int(site), 0 if bits is None else int(bits[lane]),
+        value=None if values is None else values[lane])
+        for lane, site in enumerate(sites)]
+    return (np.stack([r[0] for r in runs], axis=1),
+            np.stack([r[1] for r in runs], axis=1),
+            np.array([n if r[2] is None else r[2] for r in runs]))
 
 
-def assert_sinks_identical(sa, sb):
-    assert len(sa.calls) == len(sb.calls)
-    for (fa, da, va, sia, ba), (fb, db, vb, sib, bb) in zip(sa.calls,
-                                                           sb.calls):
-        assert fa == fb
-        assert np.array_equal(da, db, equal_nan=True)
-        assert np.array_equal(va, vb)
-        assert np.array_equal(sia, sib)
-        assert np.array_equal(ba, bb)
+def assert_matches(batch, ref, sink=None, gold=None):
+    """``batch`` (and the one ``sink`` call) agree with ``reference``."""
+    ref_vals, ref_out, ref_div = ref
+    assert np.array_equal(batch.outputs, ref_out, equal_nan=True)
+    assert np.array_equal(batch.diverged_at, ref_div)
+    if sink is not None:
+        (first, dev, valid, sites, bits), = sink.calls
+        assert first == int(batch.sites.min())
+        with np.errstate(invalid="ignore", over="ignore"):
+            want = np.abs(ref_vals[first:].astype(np.float64)
+                          - gold[first:, None].astype(np.float64))
+        want[~np.isfinite(want)] = np.inf
+        assert np.array_equal(dev, want)
+        rows = np.arange(first, len(gold))[:, None]
+        assert np.array_equal(valid, rows < ref_div[None, :])
+        assert np.array_equal(sites, batch.sites)
+        assert np.array_equal(bits, batch.bits)
 
 
 def experiment_grid(prog, rng, n=None):
@@ -122,32 +129,34 @@ def experiment_grid(prog, rng, n=None):
             np.concatenate([bits, extreme_bits]))
 
 
-def check_trace(trace, rng, cone_site_limit=None, n_sites=None):
-    interp = BatchReplayer(trace)
-    compiled = CompiledReplayer(trace, cone_site_limit=cone_site_limit)
+def check_trace(trace, rng, n_sites=None):
+    rep = BatchReplayer(trace)
     prog = trace.program
+    gold = trace.values
     sites, bits = experiment_grid(prog, rng, n=n_sites)
+    ref = reference(prog, sites, bits)
 
-    sink_i, sink_c = RecordingSink(), RecordingSink()
-    a = interp.replay(sites, bits, sink=sink_i)
-    b = compiled.replay(sites, bits, sink=sink_c)
-    assert_batches_identical(a, b)
-    assert_sinks_identical(sink_i, sink_c)
+    batch = rep.replay(sites, bits)
+    assert_matches(batch, ref)
+    with np.errstate(invalid="ignore", over="ignore"):
+        assert np.array_equal(batch.injected_values,
+                              flip_bits(gold[sites], bits), equal_nan=True)
+    sink = RecordingSink()
+    assert_matches(rep.replay(sites, bits, sink=sink), ref, sink, gold)
 
-    # single-site narrow batches hit the injected-cone kernels
+    # narrow single-site batches start late: only live-ins are golden
     for site in sites[:: max(1, sites.size // 5)]:
         s = np.full(7, site)
         bt = rng.integers(0, prog.dtype.itemsize * 8, size=7)
-        assert_batches_identical(interp.replay(s, bt),
-                                 compiled.replay(s, bt))
+        assert_matches(rep.replay(s, bt), reference(prog, s, bt))
 
     # replay_values with explicit NaN / inf / -0.0 corruptions
     some = sites[:6]
     vals = np.array([np.nan, np.inf, -np.inf, -0.0, 1e30, -1e-30],
-                    dtype=prog.dtype)
-    assert_batches_identical(interp.replay_values(some, vals),
-                             compiled.replay_values(some, vals))
-    return interp, compiled
+                    dtype=prog.dtype)[:some.size]
+    assert_matches(rep.replay_values(some, vals),
+                   reference(prog, some, values=vals))
+    return rep
 
 
 class TestDifferentialRandomTapes:
@@ -166,12 +175,20 @@ class TestDifferentialRandomTapes:
         check_trace(trace, np.random.default_rng(42))
 
     @pytest.mark.parametrize("seed", [0, 5])
-    def test_generic_kernel_forced(self, seed):
-        """cone_site_limit=-1 disables cone codegen: the runtime-start
-        generic kernel must agree too."""
+    def test_sink_and_outcome_replays_agree(self, seed):
+        """A sink switches the replay from the slot map to the identity
+        map; outputs and divergence must not notice, at every start."""
         trace = golden_run(random_tape(seed, guards=seed == 5))
-        check_trace(trace, np.random.default_rng(seed),
-                    cone_site_limit=-1)
+        rep = BatchReplayer(trace)
+        prog = trace.program
+        rng = np.random.default_rng(seed)
+        for site in np.flatnonzero(prog.is_site):
+            s = np.full(9, site)
+            bt = rng.integers(0, prog.dtype.itemsize * 8, size=9)
+            a = rep.replay(s, bt)
+            b = rep.replay(s, bt, sink=RecordingSink())
+            assert np.array_equal(a.outputs, b.outputs, equal_nan=True)
+            assert np.array_equal(a.diverged_at, b.diverged_at)
 
 
 class TestDifferentialKernels:
@@ -187,8 +204,7 @@ class TestDifferentialKernels:
     def test_guarded_jacobi_divergence(self):
         """Guard-divergent lanes must agree on diverged_at and sinks."""
         wl = kernels.build("jacobi", n=8, sweeps=8, stop_residual=1e-3)
-        interp, compiled = check_trace(wl.trace, np.random.default_rng(3),
-                                       n_sites=64)
+        rep = check_trace(wl.trace, np.random.default_rng(3), n_sites=32)
         # force high-exponent flips near the first guard: these corrupt the
         # residual and flip guard decisions
         prog = wl.program
@@ -196,60 +212,66 @@ class TestDifferentialKernels:
         assert guards.size > 0
         sites = np.flatnonzero(prog.is_site)[:40]
         bits = np.full(sites.size, prog.dtype.itemsize * 8 - 2)
-        sink_i, sink_c = RecordingSink(), RecordingSink()
-        a = interp.replay(sites, bits, sink=sink_i)
-        b = compiled.replay(sites, bits, sink=sink_c)
-        assert_batches_identical(a, b)
-        assert_sinks_identical(sink_i, sink_c)
-        assert np.any(a.diverged_at < a.n_instructions)
+        sink = RecordingSink()
+        batch = rep.replay(sites, bits, sink=sink)
+        assert_matches(batch, reference(prog, sites, bits), sink,
+                       wl.trace.values)
+        assert np.any(batch.diverged_at < batch.n_instructions)
 
 
 class TestSweepSectionParity:
     def test_plain_and_injected_sections(self, toy_program):
+        """A section reproduces the reference's rows; an override of a
+        live-in acts like corrupting that row on every lane."""
         trace = golden_run(toy_program)
-        interp = BatchReplayer(trace)
-        compiled = CompiledReplayer(trace)
+        rep = BatchReplayer(trace)
         n = len(toy_program)
         rng = np.random.default_rng(7)
         start, stop = 2, n - 1
         lanes = 9
         site = next(int(i) for i in range(start, stop)
                     if toy_program.is_site[i])
-        inject = {site: (np.array([0, 3, 5]),
-                         np.array([np.nan, np.inf, 2.5],
-                                  dtype=toy_program.dtype))}
-        overrides = {0: rng.normal(size=lanes).astype(toy_program.dtype)}
-        vi, di = interp.sweep_section(start, stop, lanes, inject=inject,
-                                      overrides=overrides)
-        vc, dc = compiled.sweep_section(start, stop, lanes, inject=inject,
-                                        overrides=overrides)
-        assert np.array_equal(vi, vc, equal_nan=True)
-        assert np.array_equal(di, dc)
+        hit = np.array([0, 3, 5])
+        corrupt = np.array([np.nan, np.inf, 2.5], dtype=toy_program.dtype)
+        vals, div = rep.sweep_section(start, stop, lanes,
+                                      inject={site: (hit, corrupt)})
+        per_lane = np.full(lanes, trace.values[site])
+        per_lane[hit] = corrupt
+        ref_vals, _, _ = reference(toy_program, np.full(lanes, site),
+                                   values=per_lane)
+        assert np.array_equal(vals, ref_vals[start:stop], equal_nan=True)
+        assert np.all(div == n)
+
+        ov = rng.normal(size=lanes).astype(toy_program.dtype)
+        vals, _ = rep.sweep_section(start, stop, lanes, overrides={0: ov})
+        ref_vals, _, _ = reference(toy_program, np.zeros(lanes, int),
+                                   values=ov)
+        assert np.array_equal(vals, ref_vals[start:stop], equal_nan=True)
 
     def test_guarded_section(self):
         wl = kernels.build("jacobi", n=8, sweeps=8, stop_residual=1e-3)
-        trace = wl.trace
-        interp = BatchReplayer(trace)
-        compiled = CompiledReplayer(trace)
+        rep = BatchReplayer(wl.trace)
         prog = wl.program
         start, stop = 100, 700
         site = next(int(i) for i in range(start, stop) if prog.is_site[i])
-        inject = {site: (np.arange(4),
-                         np.array([1e8, -1e8, np.inf, 0.0],
-                                  dtype=prog.dtype))}
-        vi, di = interp.sweep_section(start, stop, 8, inject=inject)
-        vc, dc = compiled.sweep_section(start, stop, 8, inject=inject)
-        assert np.array_equal(vi, vc, equal_nan=True)
-        assert np.array_equal(di, dc)
+        values = np.array([1e8, -1e8, np.inf, 0.0], dtype=prog.dtype)
+        vals, div = rep.sweep_section(start, stop, 4,
+                                      inject={site: (np.arange(4), values)})
+        ref_vals, _, ref_div = reference(prog, np.full(4, site),
+                                         values=values)
+        assert np.array_equal(vals, ref_vals[start:stop], equal_nan=True)
+        # the section only sees the guards inside it
+        assert np.array_equal(div, np.where(ref_div < stop, ref_div,
+                                            len(prog)))
 
 
 class TestSectionValidation:
-    """sweep_section rejects out-of-range inject / override keys (both
-    backends share the check)."""
+    """sweep_section rejects out-of-range inject / override keys."""
 
-    @pytest.fixture(params=["interp", "compiled"])
+    # one engine; the parameter keeps the cases' ids
+    @pytest.fixture(params=["interp"])
     def replayer(self, request, toy_program):
-        return make_replayer(golden_run(toy_program), request.param)
+        return make_replayer(golden_run(toy_program))
 
     def test_inject_key_below_start_rejected(self, replayer):
         lanes = np.array([0])
@@ -291,121 +313,204 @@ class TestSectionValidation:
 
 
 class TestKernelCache:
+    """The replay plan is built once per trace and shared."""
+
     def test_cache_hits_within_process(self, toy_program):
         trace = golden_run(toy_program)
-        clear_kernel_cache()
-        r1 = CompiledReplayer(trace)
-        sites = np.flatnonzero(toy_program.is_site)
-        bits = np.zeros(sites.size, dtype=np.int64)
-        r1.replay(sites, bits)
-        misses_after_first = kernel_cache_stats()["misses"]
-        assert misses_after_first >= 1
-        # a second replayer over the same trace reuses the cached code
-        r2 = CompiledReplayer(trace)
-        r2.replay(sites, bits)
-        stats = kernel_cache_stats()
-        assert stats["misses"] == misses_after_first
-        assert stats["hits"] >= 1
+        r1 = BatchReplayer(trace)
+        r2 = make_replayer(trace)
+        assert r1._plan is r2._plan is plan_for(trace)
+        # another trace of the same program gets its own plan
+        assert plan_for(golden_run(toy_program)) is not r1._plan
 
-    def test_content_key_covers_trace_and_shape(self, toy_program):
-        trace = golden_run(toy_program)
-        fp = trace_fingerprint(trace)
-        k1 = content_key(fp, "replay", 0, len(toy_program), (), ())
-        k2 = content_key(fp, "replay", 1, len(toy_program), (), ())
-        k3 = content_key(fp, "replay_sink", 0, len(toy_program), (), ())
-        k4 = content_key(fp, "replay", 0, len(toy_program), (3,), ())
-        assert len({k1, k2, k3, k4}) == 4
 
-    def test_fingerprint_differs_for_different_inputs(self):
-        t1 = golden_run(random_tape(20))
-        t2 = golden_run(random_tape(21))
-        assert trace_fingerprint(t1) != trace_fingerprint(t2)
-        assert trace_fingerprint(t1) == trace_fingerprint(t1)
+    def test_threads_share_one_build(self):
+        """Racing first uses of a trace's plan build it exactly once."""
+        import sys
+        import threading
+
+        from repro.obs import metrics
+
+        trace = golden_run(random_tape(11))
+        barrier = threading.Barrier(8)
+        plans = []
+
+        def first_use():
+            barrier.wait(timeout=10)
+            plans.append(plan_for(trace))
+
+        was_enabled = metrics.METRICS.enabled
+        interval = sys.getswitchinterval()
+        metrics.METRICS.enabled = True
+        before = metrics.METRICS.snapshot()["counters"].get("replay.plans", 0)
+        sys.setswitchinterval(1e-6)
+        try:
+            threads = [threading.Thread(target=first_use) for _ in range(8)]
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=30)
+            assert not any(t.is_alive() for t in threads)
+            built = (metrics.METRICS.snapshot()["counters"]["replay.plans"]
+                     - before)
+        finally:
+            sys.setswitchinterval(interval)
+            metrics.METRICS.enabled = was_enabled
+        assert len(plans) == 8 and all(p is plans[0] for p in plans)
+        assert built == 1
 
 
 class TestMakeReplayer:
-    def test_auto_prefers_compiled(self, toy_program):
-        r = make_replayer(golden_run(toy_program))
-        assert isinstance(r, CompiledReplayer)
-        assert r.backend == "compiled"
-
     def test_interp_returns_reference(self, toy_program):
-        r = make_replayer(golden_run(toy_program), "interp")
-        assert type(r) is BatchReplayer
-        assert r.backend == "interp"
+        assert type(make_replayer(golden_run(toy_program))) is BatchReplayer
 
     def test_unknown_backend_rejected(self, toy_program):
-        with pytest.raises(ValueError, match="backend"):
+        """There is one replay engine; the old selector is an error."""
+        with pytest.raises(TypeError):
             make_replayer(golden_run(toy_program), "jit")
-        with pytest.raises(ValueError, match="backend"):
-            resolve_backend("llvm")
 
 
 class TestCampaignParity:
-    """Whole campaigns agree bit-for-bit across backends and executors."""
+    """Whole campaigns: phase A runs the slot map; replaying the same
+    experiments with a sink runs the identity map.  Their grids agree
+    bit-for-bit on every executor."""
+
+    @staticmethod
+    def _identity_map_outcomes(wl):
+        from repro.core.experiment import SampleSpace
+        from repro.engine.classify import classify_batch
+
+        class NullSink:
+            def consume(self, *args):
+                pass
+
+        space = SampleSpace.of_program(wl.program)
+        rep = BatchReplayer(wl.trace)
+        outcomes, inj = [], []
+        for chunk in np.array_split(np.arange(space.size), 8):
+            batch = rep.replay(*space.instructions_of(chunk),
+                               sink=NullSink())
+            outcomes.append(classify_batch(batch, wl.comparator))
+            inj.append(batch.injected_errors)
+        return (np.concatenate(outcomes).reshape(space.n_sites, space.bits),
+                np.concatenate(inj).reshape(space.n_sites, space.bits))
 
     @pytest.mark.parametrize("executor", ["serial", "threads", "processes"])
     def test_exhaustive_backend_parity(self, cg_tiny, executor):
         from repro.core import run_campaign
 
         n_workers = 2 if executor != "serial" else None
-        a = run_campaign(cg_tiny, mode="exhaustive", backend="interp",
-                         executor=executor, n_workers=n_workers).exhaustive
-        b = run_campaign(cg_tiny, mode="exhaustive", backend="compiled",
-                         executor=executor, n_workers=n_workers).exhaustive
-        assert np.array_equal(a.outcomes, b.outcomes)
-        assert np.array_equal(a.injected_errors, b.injected_errors,
-                              equal_nan=True)
+        got = run_campaign(cg_tiny, mode="exhaustive", executor=executor,
+                           n_workers=n_workers).exhaustive
+        outcomes, inj = self._identity_map_outcomes(cg_tiny)
+        assert np.array_equal(got.outcomes, outcomes)
+        assert np.array_equal(got.injected_errors, inj, equal_nan=True)
 
     def test_monte_carlo_backend_parity(self, cg_tiny):
+        """Tiny batch budgets move every chunk's start, and so every
+        call's live-in set; the campaign must not notice."""
         from repro.core import run_campaign
 
         a = run_campaign(cg_tiny, mode="monte_carlo", sampling_rate=0.05,
-                         seed=3, backend="interp")
+                         seed=3)
         b = run_campaign(cg_tiny, mode="monte_carlo", sampling_rate=0.05,
-                         seed=3, backend="compiled")
+                         seed=3, batch_budget=1 << 12)
         assert np.array_equal(a.sampled.outcomes, b.sampled.outcomes)
         assert np.array_equal(a.boundary.thresholds, b.boundary.thresholds)
         assert np.array_equal(a.boundary.exact, b.boundary.exact)
 
 
-class TestAutoTiering:
-    """backend="auto" is tiered on campaign size by the drivers."""
+def _tape_with_dead_row():
+    b = TraceBuilder(np.float32, name="dead")
+    x = b.feed("x", 1.25)
+    y = b.feed("y", -0.5)
+    dead = x * y  # consumed by nothing, not an output
+    s = x + y
+    out = s * s
+    b.mark_output(out, s)
+    return b.build(), dead.index, out.index, s.index
 
-    def test_resolve_auto_backend(self):
-        from repro.core.campaign import (
-            AUTO_COMPILED_MIN_EXPERIMENTS,
-            resolve_auto_backend,
-        )
 
-        assert resolve_auto_backend("auto", 1) == "interp"
-        assert resolve_auto_backend(
-            "auto", AUTO_COMPILED_MIN_EXPERIMENTS - 1) == "interp"
-        assert resolve_auto_backend(
-            "auto", AUTO_COMPILED_MIN_EXPERIMENTS) == "compiled"
-        # Explicit choices pass through regardless of size.
-        assert resolve_auto_backend("interp", 10**9) == "interp"
-        assert resolve_auto_backend("compiled", 1) == "compiled"
+class TestSlotPlan:
+    """Cases a wrong slot plan or live-in fill would get wrong."""
 
-    def test_small_campaign_auto_skips_compilation(self, cg_tiny):
+    @pytest.mark.parametrize("seed", [0, 5])
+    def test_slot_rule_invariants(self, seed):
+        """A row never takes the slot of a value still live at it (its
+        operands included), and outputs keep their slots to the end."""
+        trace = golden_run(random_tape(seed, guards=seed == 5))
+        plan = plan_for(trace)
+        outputs = set(trace.program.outputs.tolist())
+        owner: dict[int, int] = {}  # slot -> last row assigned to it
+        for i in plan.slot_rows:
+            held = owner.get(int(plan.slot[i]))
+            assert held is None or (held not in outputs
+                                    and plan.slot_last[held] < i), (i, held)
+            owner[int(plan.slot[i])] = i
+        assert plan.n_slots < len(plan.slot_rows)
+
+    def test_kernel_tapes_fit_in_few_slots(self, fft_tiny, lu_tiny,
+                                           cg_tiny):
+        for wl in (fft_tiny, lu_tiny, cg_tiny):
+            plan = plan_for(wl.trace)
+            assert len(wl.program.outputs) <= plan.n_slots
+            assert plan.n_slots < len(wl.program) // 2
+
+    def test_injection_into_output_row(self):
+        prog, _, out, s = _tape_with_dead_row()
+        rep = BatchReplayer(golden_run(prog))
+        for site in (out, s):
+            sites = np.full(4, site)
+            vals = np.array([np.nan, -0.0, 7.0, np.inf], dtype=np.float32)
+            for sink in (None, RecordingSink()):
+                batch = rep.replay_values(sites, vals, sink=sink)
+                assert_matches(batch, reference(prog, sites, values=vals),
+                               sink, rep.trace.values)
+
+    def test_injection_into_dead_row(self):
+        """The slot map skips a row nothing observable reads; injecting
+        there changes nothing, while the sink still sees its deviation."""
+        prog, dead, _, _ = _tape_with_dead_row()
+        trace = golden_run(prog)
+        rep = BatchReplayer(trace)
+        assert plan_for(trace).slot_pos[dead] == -1
+        sites = np.full(3, dead)
+        bits = np.array([31, 30, 3])
+        ref = reference(prog, sites, bits)
+        assert_matches(rep.replay(sites, bits), ref)
+        sink = RecordingSink()
+        assert_matches(rep.replay(sites, bits, sink=sink), ref, sink,
+                       trace.values)
+        assert np.all(sink.calls[0][1][0] > 0)
+
+    def test_section_override_read_again_late(self):
+        """A live-in read at the start of a section and again at its end
+        must still hold the override when the late row reads it."""
+        b = TraceBuilder(np.float32, name="late-live-in")
+        x = b.feed("x", 0.75)
+        y = b.feed("y", 2.0)
+        head = x * y  # section starts here
+        acc = head
+        for _ in range(12):
+            acc = acc * 1.5 + head
+        tail = acc - x  # x is read again at the very end
+        b.mark_output(tail)
+        prog = b.build()
+        rep = BatchReplayer(golden_run(prog))
+        start = head.index
+        ov = np.array([0.75, -3.0, np.inf, 0.0], dtype=np.float32)
+        vals, _ = rep.sweep_section(start, len(prog), 4,
+                                    overrides={x.index: ov})
+        ref_vals, _, _ = reference(prog, np.full(4, x.index), values=ov)
+        assert np.array_equal(vals, ref_vals[start:], equal_nan=True)
+
+    def test_one_plan_build_per_adaptive_campaign(self):
         from repro.core import run_campaign
-        from repro.core.campaign import AUTO_COMPILED_MIN_EXPERIMENTS
 
-        space_size = cg_tiny.program.sample_space_size
-        n = min(64, space_size)
-        assert n < AUTO_COMPILED_MIN_EXPERIMENTS
-        clear_kernel_cache()
-        before = kernel_cache_stats()["misses"]
-        run_campaign(cg_tiny, mode="sample",
-                     experiments=np.arange(n, dtype=np.int64))
-        assert kernel_cache_stats()["misses"] == before
-
-    def test_large_campaign_auto_compiles(self, cg_tiny):
-        from repro.core import run_campaign
-        from repro.core.campaign import AUTO_COMPILED_MIN_EXPERIMENTS
-
-        assert cg_tiny.program.sample_space_size \
-            >= AUTO_COMPILED_MIN_EXPERIMENTS
-        clear_kernel_cache()
-        run_campaign(cg_tiny, mode="exhaustive")
-        assert kernel_cache_stats()["misses"] > 0
+        for executor in ("serial", "threads"):
+            wl = kernels.build("cg", n=8, iters=8)
+            result = run_campaign(wl, mode="adaptive", seed=1,
+                                  executor=executor, n_workers=2,
+                                  metrics=True)
+            assert result.rounds > 1
+            assert result.metrics["counters"]["replay.plans"] == 1

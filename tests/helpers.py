@@ -14,14 +14,15 @@ from repro.engine.program import Opcode, Program
 
 
 def scalar_injected_run(
-    program: Program, site: int, bit: int
+    program: Program, site: int, bit: int, value=None,
 ) -> tuple[np.ndarray, np.ndarray, int | None]:
     """Scalar re-execution with one injected bit flip.
 
     Returns ``(values, outputs, diverged_at)`` where ``values`` holds every
     dynamic value (program precision) after injection and ``diverged_at`` is
     the first guard whose branch direction differs from the golden run, or
-    ``None``.
+    ``None``.  An explicit ``value`` replaces the flipped bit as the
+    corrupted value of ``site`` (``bit`` is then ignored).
     """
     dtype = program.dtype
     n = len(program)
@@ -36,12 +37,13 @@ def scalar_injected_run(
             golden_guards[i] = bool(golden[i] != 0)
 
     values, diverged_at = _evaluate(program, inputs, consts, site, bit,
-                                    golden_guards)
+                                    golden_guards, value)
     outputs = values[program.outputs].astype(np.float64)
     return values, outputs, diverged_at
 
 
-def _evaluate(program, inputs, consts, site, bit, golden_guards):
+def _evaluate(program, inputs, consts, site, bit, golden_guards,
+              value=None):
     dtype = program.dtype
     n = len(program)
     values = np.zeros(n, dtype=dtype)
@@ -89,5 +91,6 @@ def _evaluate(program, inputs, consts, site, bit, golden_guards):
                 raise AssertionError(f"unknown opcode {op}")
             values[i] = v
             if site is not None and i == site:
-                values[i] = flip_bits(values[i:i + 1], bit)[0]
+                values[i] = (flip_bits(values[i:i + 1], bit)[0]
+                             if value is None else value)
     return values, diverged_at

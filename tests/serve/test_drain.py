@@ -143,3 +143,37 @@ class TestClientTransportRetry:
     def test_negative_retries_rejected(self):
         with pytest.raises(ValueError):
             ServiceClient("http://127.0.0.1:1", retries=-1)
+
+
+class TestDrainSignal:
+    def test_drain_request_escapes_request_dispatch(self, tmp_path,
+                                                    monkeypatch):
+        """A SIGTERM landing while the accept loop starts a request must
+        unwind the loop, not be logged by ``handle_error`` and dropped."""
+        import signal
+        import socket
+
+        from repro.cli import _DrainRequested
+
+        server = create_server(tmp_path / "svc")
+
+        def signal_lands_here(request, client_address):
+            raise _DrainRequested(signal.SIGTERM)
+
+        monkeypatch.setattr(server, "process_request", signal_lands_here)
+        handled = []
+        monkeypatch.setattr(server, "handle_error",
+                            lambda *args: handled.append(args))
+        conn = socket.create_connection(("127.0.0.1", server.port),
+                                        timeout=5)
+        try:
+            with pytest.raises(_DrainRequested):
+                server._handle_request_noblock()
+            assert handled == []
+            assert conn.recv(1) == b""  # the accepted request was closed
+        finally:
+            conn.close()
+            # serve_forever never ran, so skip shutdown() (it would wait
+            # for the loop to acknowledge)
+            server.server_close()
+            server.manager.close(wait=False)

@@ -52,6 +52,10 @@ class TestJobRequest:
         with pytest.raises(ValueError, match="sampling_rte"):
             JobRequest(kernel="cg", mode="sample",
                        options={"sampling_rate": 0.1, "sampling_rte": 0.1})
+        # one replay engine: the former backend selector is unknown too
+        with pytest.raises(ValueError, match="backend"):
+            JobRequest(kernel="cg", mode="exhaustive",
+                       options={"backend": "compiled"})
 
     def test_mode_specific_option_does_not_leak(self):
         # sampling_rate belongs to "sample", not "exhaustive"

@@ -483,23 +483,18 @@ class TestBench:
         from repro.obs.bench import validate_bench
         assert validate_bench(doc) == []
         # "cg" matches the monte-carlo, compose, optimize, serve,
-        # serve-replicas, dist, backend-comparison and dynamic-CFG cg cases
+        # serve-replicas, dist and dynamic-CFG cg cases
         assert [c["name"] for c in doc["cases"]] == ["cg-n8-serial",
                                                      "cg-n8-compose",
                                                      "cg-n8-optimize",
                                                      "cg-n8-serve",
                                                      "cg-n8-serve-replicas",
                                                      "cg-n8-dist2",
-                                                     "cg-n8-backend",
                                                      "cg-dyn-n8-exh"]
         replicas = next(c for c in doc["cases"]
                         if c["name"] == "cg-n8-serve-replicas")
         assert replicas["serve_replicas"]["replicas"] == 2
         assert replicas["serve_replicas"]["qps_warm"] > 0
-        backend = next(c for c in doc["cases"]
-                       if c["name"] == "cg-n8-backend")["backend"]
-        assert backend["parity"] is True
-        assert backend["speedup"] > 0
 
     def test_unknown_case_filter_rejected(self, tmp_path):
         with pytest.raises(SystemExit, match="no bench case"):
