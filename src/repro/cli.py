@@ -13,8 +13,6 @@ The CLI covers the full workflow an application team would run:
 * ``compose`` — compositional (sectioned) campaign with content-hash
   summary caching; re-runs after an edit re-campaign only the changed
   sections,
-* ``bench`` — the fixed-matrix observability benchmark, writing a
-  comparable ``BENCH_<rev>.json`` report,
 * ``serve`` — the resiliency query service: an HTTP job server running
   campaigns asynchronously (checkpointed, resumed across restarts) and
   answering boundary point queries from published artifacts; with
@@ -549,29 +547,6 @@ def build_parser() -> argparse.ArgumentParser:
                    help="injected error magnitude (requires --site)")
     p.add_argument("--json", action="store_true",
                    help="machine-readable output")
-
-    p = sub.add_parser("bench",
-                       help="fixed-matrix benchmark writing "
-                            "BENCH_<rev>.json")
-    p.add_argument("--quick", action="store_true",
-                   help="smallest size per kernel, serial only (the CI "
-                        "configuration)")
-    p.add_argument("--out-dir", default=".", metavar="DIR",
-                   help="directory for the BENCH_<rev>.json report")
-    p.add_argument("--rev", default=None,
-                   help="revision label (default: $REPRO_BENCH_REV, git "
-                        "short rev, or 'local')")
-    p.add_argument("--case", action="append", default=[],
-                   metavar="SUBSTRING",
-                   help="run only matrix cases whose name contains "
-                        "SUBSTRING (repeatable)")
-    p.add_argument("--compare", default=None, metavar="BASELINE",
-                   help="compare against a committed BENCH_*.json baseline "
-                        "and exit non-zero on a throughput regression")
-    p.add_argument("--fail-threshold", type=float, default=0.2,
-                   metavar="FRACTION",
-                   help="relative throughput drop that counts as a "
-                        "regression for --compare (default 0.2 = 20%%)")
     return parser
 
 
@@ -1419,66 +1394,6 @@ def _cmd_query(args, out) -> int:
     return 0
 
 
-def _cmd_bench(args, out) -> int:
-    from .obs import bench
-
-    cases = bench.bench_matrix(args.quick)
-    if args.case:
-        cases = tuple(c for c in cases
-                      if any(sub in c.name for sub in args.case))
-        if not cases:
-            raise SystemExit(f"no bench case matches {args.case!r}; "
-                             f"matrix: "
-                             f"{[c.name for c in bench.bench_matrix(args.quick)]}")
-
-    def progress(i, n, entry):
-        print(f"[{i}/{n}] {entry['name']:20s} "
-              f"{entry['n_experiments']:6d} exps  "
-              f"{entry['wall_s']:7.2f}s  "
-              f"{entry['throughput_exps_per_s']:9.1f} exps/s", file=out)
-
-    doc = bench.run_bench(quick=args.quick, cases=cases, progress=progress)
-    if args.rev:
-        doc["rev"] = args.rev
-    problems = bench.validate_bench(doc)
-    if problems:
-        raise SystemExit("bench report failed schema validation:\n  "
-                         + "\n  ".join(problems))
-    path = bench.write_bench(doc, args.out_dir)
-    print(f"report -> {path}", file=out)
-    if args.compare:
-        try:
-            baseline = json.loads(Path(args.compare).read_text())
-        except (OSError, json.JSONDecodeError) as exc:
-            raise SystemExit(f"cannot read baseline {args.compare}: {exc}")
-        base_problems = bench.validate_bench(baseline)
-        if base_problems:
-            raise SystemExit("baseline failed schema validation:\n  "
-                             + "\n  ".join(base_problems))
-        if args.case:
-            # An explicit --case filter narrows the gate to the selected
-            # rows; unselected baseline rows are not "missing".
-            baseline = dict(baseline)
-            baseline["cases"] = [
-                c for c in baseline.get("cases", [])
-                if isinstance(c, dict)
-                and any(sub in str(c.get("name", "")) for sub in args.case)]
-        try:
-            regressions = bench.compare_bench(baseline, doc,
-                                              threshold=args.fail_threshold)
-        except ValueError as exc:
-            raise SystemExit(str(exc)) from exc
-        if regressions:
-            print("bench regression gate FAILED vs "
-                  f"{args.compare}:", file=out)
-            for problem in regressions:
-                print(f"  {problem}", file=out)
-            return 1
-        print(f"bench regression gate passed vs {args.compare} "
-              f"(threshold {args.fail_threshold:.0%})", file=out)
-    return 0
-
-
 _COMMANDS = {
     "kernels": _cmd_kernels,
     "inspect": _cmd_inspect,
@@ -1499,7 +1414,6 @@ _COMMANDS = {
     "submit": _cmd_submit,
     "jobs": _cmd_jobs,
     "query": _cmd_query,
-    "bench": _cmd_bench,
 }
 
 

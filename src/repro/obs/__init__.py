@@ -1,4 +1,4 @@
-"""Campaign observability: tracing spans, metrics, and the bench harness.
+"""Campaign observability: tracing spans and metrics.
 
 Zero hard dependencies beyond the standard library; everything is a no-op
 until explicitly enabled, so instrumented hot paths cost one attribute
@@ -7,20 +7,12 @@ check when observability is off.
 * :mod:`repro.obs.trace` — nestable wall-clock/CPU/RSS spans emitting
   structured JSONL through pluggable sinks;
 * :mod:`repro.obs.metrics` — process-local counters, gauges and
-  log-bucketed histograms, mergeable across worker processes;
-* :mod:`repro.obs.bench` — the fixed-matrix benchmark harness behind
-  ``repro bench`` and ``benchmarks/run_bench.py``.
+  log-bucketed histograms, mergeable across worker processes.
+
+Speed is measured from outside the package, by the end-to-end benchmark
+under ``benchmarks/e2e/``.
 """
 
-from .bench import (
-    BenchCase,
-    bench_matrix,
-    compare_bench,
-    run_bench,
-    run_case,
-    validate_bench,
-    write_bench,
-)
 from .metrics import (
     METRICS,
     Histogram,
@@ -43,23 +35,16 @@ from .trace import (
 __all__ = [
     "METRICS",
     "TRACER",
-    "BenchCase",
     "Histogram",
     "JsonlSink",
     "MetricsRegistry",
     "RecordingSink",
     "Tracer",
-    "bench_matrix",
-    "compare_bench",
     "inc",
     "merge_snapshot",
     "observe",
     "render_exposition",
-    "run_bench",
-    "run_case",
     "set_gauge",
     "snapshot_delta",
     "span",
-    "validate_bench",
-    "write_bench",
 ]

@@ -99,10 +99,6 @@ class Histogram:
             estimate = min(max(estimate, self.min), self.max)
         return estimate
 
-    @property
-    def mean(self) -> float:
-        return self.sum / self.count if self.count else math.nan
-
     # ------------------------------------------------------ serialisation
 
     def to_dict(self) -> dict:

@@ -118,19 +118,9 @@ class Fleet:
         existing = env.get("PYTHONPATH")
         env["PYTHONPATH"] = (pkg_parent if not existing
                              else pkg_parent + os.pathsep + existing)
-        # Children inherit stdout unless the fleet's own log was pointed
-        # elsewhere (e.g. the bench silences a whole fleet via
-        # ``out=devnull``); then their chatter follows it.
-        stdout = None
-        if self.out is not sys.stdout:
-            try:
-                self.out.fileno()
-                stdout = self.out
-            except (AttributeError, OSError, ValueError):
-                pass
         try:
             self._children[index] = subprocess.Popen(self._child_cmd(index),
-                                                     env=env, stdout=stdout)
+                                                     env=env)
         except OSError as exc:
             raise FleetError(f"failed to spawn replica r{index}: {exc}") \
                 from exc

@@ -141,16 +141,15 @@ class ServiceServer(ThreadingHTTPServer):
 def create_server(root: str | Path, host: str = "127.0.0.1", port: int = 0,
                   job_workers: int = 1, campaign_workers: int | None = None,
                   cache_capacity: int | None = None, recover: bool = True,
-                  quiet: bool = True, metrics: bool = True,
-                  dist_port: int | None = None, reuse_port: bool = False,
-                  replica_id: str | None = None,
+                  quiet: bool = True, dist_port: int | None = None,
+                  reuse_port: bool = False, replica_id: str | None = None,
                   claim_ttl_s: float | None = None) -> ServiceServer:
     """Build a ready-to-``serve_forever`` service on ``host:port``.
 
     ``port=0`` binds an ephemeral port (read it back from
     ``server.port``).  ``recover=True`` adopts jobs any replica left
     unfinished under this root; their campaigns resume from checkpoints.
-    ``metrics=True`` enables the process-global registry so ``/metrics``
+    The process-global metrics registry is enabled so ``/metrics``
     reports request/query/campaign counters.  ``dist_port`` additionally
     opens a distributed campaign plane on that port (``0`` = ephemeral;
     read it back from ``server.dist_plane.port``) so jobs may request
@@ -163,8 +162,7 @@ def create_server(root: str | Path, host: str = "127.0.0.1", port: int = 0,
     ``/healthz``, and ``claim_ttl_s`` tunes how long a crashed replica's
     claims stay unstealable.
     """
-    if metrics:
-        METRICS.enabled = True
+    METRICS.enabled = True
     dist_plane = None
     if dist_port is not None:
         from ..dist import DistConfig, DistPlane

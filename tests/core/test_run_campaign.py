@@ -16,6 +16,7 @@ from repro.core import (
 )
 from repro.core.checkpoint import CampaignCheckpoint
 from repro.obs import RecordingSink
+from repro.obs.trace import rss_peak_kb
 
 
 class TestConfigValidation:
@@ -145,6 +146,12 @@ class TestObservabilityHooks:
         assert counters["experiments.completed"] == 64
         assert "phase_a.chunk_seconds" in result.metrics["histograms"]
 
+    def test_peak_rss_gauge_recorded(self, cg_tiny):
+        result = run_campaign(cg_tiny, mode="sample",
+                              experiments=np.arange(32), metrics=True)
+        if rss_peak_kb() is not None:
+            assert result.metrics["gauges"]["rss.peak_kb"] > 0
+
     def test_metrics_do_not_change_numerics(self, cg_tiny):
         flat = np.arange(150, dtype=np.int64)
         plain = run_campaign(cg_tiny, mode="sample", experiments=flat)
@@ -170,6 +177,21 @@ class TestObservabilityHooks:
                     if r["name"] == "campaign.monte_carlo")
         assert root["kernel"] == "cg"
         assert not TRACER.enabled  # detached + restored
+        assert sink not in TRACER._sinks
+
+    def test_compose_spans_recorded(self, cg_tiny):
+        from repro.obs import TRACER
+
+        sink = RecordingSink()
+        result = run_campaign(cg_tiny, mode="compositional", trace_sink=sink)
+        assert result.boundary is not None
+        names = {r["name"] for r in sink.records}
+        assert {"campaign.compositional", "compose.section",
+                "compose.merge"} <= names
+        root = next(r for r in sink.records
+                    if r["name"] == "campaign.compositional")
+        assert root["kernel"] == "cg"
+        assert not TRACER.enabled
         assert sink not in TRACER._sinks
 
     def test_trace_sink_detached_on_error(self, cg_tiny):

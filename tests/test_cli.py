@@ -469,78 +469,6 @@ class TestCompose:
             run_cli(["compose", *CG, "--slack", "0.1"])
 
 
-class TestBench:
-    def test_quick_bench_single_case(self, tmp_path):
-        import json
-        code, text = run_cli(["bench", "--quick", "--case", "cg",
-                              "--out-dir", str(tmp_path),
-                              "--rev", "clitest"])
-        assert code == 0
-        assert "report ->" in text
-        path = tmp_path / "BENCH_clitest.json"
-        assert path.exists()
-        doc = json.loads(path.read_text())
-        from repro.obs.bench import validate_bench
-        assert validate_bench(doc) == []
-        # "cg" matches the monte-carlo, compose, optimize, serve,
-        # serve-replicas, dist and dynamic-CFG cg cases
-        assert [c["name"] for c in doc["cases"]] == ["cg-n8-serial",
-                                                     "cg-n8-compose",
-                                                     "cg-n8-optimize",
-                                                     "cg-n8-serve",
-                                                     "cg-n8-serve-replicas",
-                                                     "cg-n8-dist2",
-                                                     "cg-dyn-n8-exh"]
-        replicas = next(c for c in doc["cases"]
-                        if c["name"] == "cg-n8-serve-replicas")
-        assert replicas["serve_replicas"]["replicas"] == 2
-        assert replicas["serve_replicas"]["qps_warm"] > 0
-
-    def test_unknown_case_filter_rejected(self, tmp_path):
-        with pytest.raises(SystemExit, match="no bench case"):
-            run_cli(["bench", "--quick", "--case", "zzz",
-                     "--out-dir", str(tmp_path)])
-
-
-class TestBenchCompareGate:
-    def _run_with_baseline(self, tmp_path, baseline_tp, threshold=None):
-        import json
-        code, text = run_cli(["bench", "--quick", "--case", "lu",
-                              "--out-dir", str(tmp_path),
-                              "--rev", "gate-current"])
-        assert code == 0
-        current = json.loads((tmp_path / "BENCH_gate-current.json")
-                             .read_text())
-        baseline = dict(current, rev="gate-base")
-        baseline["cases"] = [dict(c, throughput_exps_per_s=baseline_tp)
-                             for c in current["cases"]]
-        base_path = tmp_path / "BENCH_gate-base.json"
-        base_path.write_text(json.dumps(baseline))
-        argv = ["bench", "--quick", "--case", "lu",
-                "--out-dir", str(tmp_path), "--rev", "gate-rerun",
-                "--compare", str(base_path)]
-        if threshold is not None:
-            argv += ["--fail-threshold", str(threshold)]
-        return run_cli(argv)
-
-    def test_gate_passes_against_slow_baseline(self, tmp_path):
-        code, text = self._run_with_baseline(tmp_path, baseline_tp=1e-6)
-        assert code == 0
-        assert "regression gate passed" in text
-
-    def test_gate_fails_against_impossible_baseline(self, tmp_path):
-        code, text = self._run_with_baseline(tmp_path, baseline_tp=1e12)
-        assert code == 1
-        assert "regression gate FAILED" in text
-        assert "throughput regressed" in text
-
-    def test_unreadable_baseline_rejected(self, tmp_path):
-        with pytest.raises(SystemExit, match="cannot read baseline"):
-            run_cli(["bench", "--quick", "--case", "lu",
-                     "--out-dir", str(tmp_path),
-                     "--compare", str(tmp_path / "missing.json")])
-
-
 class TestExecutorFlags:
     def test_exhaustive_executor_threads(self, tmp_path):
         out = tmp_path / "exh.npz"
