@@ -15,7 +15,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ..core.campaign import _experiments_impl, infer_boundary
+from ..core.campaign import (
+    _campaign_executor,
+    _experiments_impl,
+    infer_boundary,
+)
 from ..core.experiment import ExhaustiveResult, SampleSpace
 from ..core.metrics import PredictionQuality, evaluate_boundary
 from ..core.prediction import BoundaryPredictor
@@ -51,9 +55,11 @@ def fixed_budget_trial(
     if n_samples > space.size:
         raise ValueError("budget exceeds the sample space")
     flat = uniform_sample(space, n_samples, rng)
-    sampled = _experiments_impl(workload, flat, n_workers=n_workers)
-    boundary = infer_boundary(workload, sampled, use_filter=use_filter,
-                              n_workers=n_workers)
+    with _campaign_executor(workload, n_workers) as pool:
+        sampled = _experiments_impl(workload, flat, pool,
+                                    n_workers=n_workers)
+        boundary = infer_boundary(workload, sampled, use_filter=use_filter,
+                                  n_workers=n_workers, pool=pool)
     predictor = BoundaryPredictor(workload.trace)
     quality = evaluate_boundary(predictor, boundary, golden, sampled)
     return FixedBudgetTrial(quality=quality, n_samples=n_samples,

@@ -33,10 +33,10 @@ Workload parameters are passed as repeated ``--param key=value`` options
 (values parsed as int, float, bool or string, in that order).
 
 The campaign commands (``exhaustive``, ``sample``, ``adaptive``) accept
-an execution-plane option ``--executor {auto,serial,threads,processes}``
-(``threads`` shares the golden trace in-process; ``processes`` ships it
-zero-copy through POSIX shared memory) plus ``--autotune`` to calibrate
-the replay lane width, and fault-tolerance options: ``--max-retries`` / ``--task-timeout`` build a
+``--workers N`` (one process pool for the whole campaign; its workers
+fork from the CLI and inherit the workload; without it the campaign runs
+serially) and fault-tolerance options:
+``--max-retries`` / ``--task-timeout`` build a
 :class:`~repro.parallel.resilience.RetryPolicy` for pool runs, and
 ``--checkpoint DIR`` (with ``--resume`` to continue an interrupted
 campaign) persists partial results through
@@ -184,7 +184,9 @@ def build_parser() -> argparse.ArgumentParser:
                        metavar="KEY=VALUE",
                        help="workload parameter (repeatable)")
         p.add_argument("--workers", type=int, default=None,
-                       help="process-pool width (default: serial)")
+                       help="worker processes of the campaign's one pool; "
+                            "they fork from this process and inherit the "
+                            "workload (default: serial)")
 
     def add_resilience_args(p):
         p.add_argument("--checkpoint", default=None, metavar="DIR",
@@ -202,20 +204,6 @@ def build_parser() -> argparse.ArgumentParser:
                        help="per-task wall-clock deadline; expired tasks "
                             "are presumed hung and retried on a fresh "
                             "pool")
-
-    def add_executor_args(p, autotune=True):
-        p.add_argument("--executor", default="auto",
-                       choices=["auto", "serial", "threads", "processes"],
-                       help="execution plane: 'threads' shares the golden "
-                            "trace in-process (NumPy replay releases the "
-                            "GIL), 'processes' publishes it zero-copy "
-                            "through shared memory; 'auto' picks threads "
-                            "unless a retry policy needs process isolation")
-        if autotune:
-            p.add_argument("--autotune", action="store_true",
-                           help="calibrate the replay lane width with a "
-                                "short timing sweep before the campaign "
-                                "(ignored when resuming a checkpoint)")
 
     def add_obs_args(p):
         p.add_argument("--trace-out", default=None, metavar="FILE",
@@ -247,14 +235,12 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("exhaustive", help="run the exhaustive campaign")
     add_workload_args(p)
-    add_executor_args(p)
     add_resilience_args(p)
     add_obs_args(p)
     p.add_argument("--out", required=True, help="output .npz path")
 
     p = sub.add_parser("sample", help="Monte-Carlo campaign + inference")
     add_workload_args(p)
-    add_executor_args(p)
     add_resilience_args(p)
     add_obs_args(p)
     p.add_argument("--rate", type=float, required=True,
@@ -269,7 +255,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("adaptive", help="progressive adaptive campaign")
     add_workload_args(p)
-    add_executor_args(p)
     add_resilience_args(p)
     add_obs_args(p)
     p.add_argument("--seed", type=int, default=0)
@@ -331,7 +316,6 @@ def build_parser() -> argparse.ArgumentParser:
                        help="compositional campaign: per-section summaries "
                             "with content-hash caching")
     add_workload_args(p)
-    add_executor_args(p, autotune=False)
     add_obs_args(p)
     p.add_argument("--max-retries", type=int, default=None,
                    help="re-run a failed/crashed/timed-out section task up "
@@ -363,7 +347,6 @@ def build_parser() -> argparse.ArgumentParser:
                             "evolutionary search over per-site modes, "
                             "scored by envelope composition")
     add_workload_args(p)
-    add_executor_args(p, autotune=False)
     add_obs_args(p)
     p.add_argument("--target-sdc", type=float, default=None,
                    help="meet this residual SDC ratio at minimum cost")
@@ -756,8 +739,7 @@ def _cmd_exhaustive(args, out) -> int:
     obs_kwargs, sink = _obs_options(args)
     result = core.run_campaign(wl, _campaign_config(
         mode="exhaustive", n_workers=args.workers, retry_policy=policy,
-        checkpoint=checkpoint, executor=args.executor,
-        autotune=args.autotune, **obs_kwargs))
+        checkpoint=checkpoint, **obs_kwargs))
     golden = result.exhaustive
     rio.save_exhaustive(args.out, golden)
     _finish_obs(args, result, sink, out)
@@ -778,8 +760,7 @@ def _cmd_sample(args, out) -> int:
     result = core.run_campaign(wl, _campaign_config(
         mode="monte_carlo", sampling_rate=args.rate, seed=args.seed,
         use_filter=not args.no_filter, n_workers=args.workers,
-        retry_policy=policy, checkpoint=checkpoint,
-        executor=args.executor, autotune=args.autotune, **obs_kwargs))
+        retry_policy=policy, checkpoint=checkpoint, **obs_kwargs))
     sampled, boundary = result.sampled, result.boundary
     rio.save_boundary(args.boundary_out, boundary)
     if args.sampled_out:
@@ -811,8 +792,7 @@ def _cmd_adaptive(args, out) -> int:
     result = core.run_campaign(wl, _campaign_config(
         mode="adaptive", seed=args.seed, progressive=config,
         n_workers=args.workers, retry_policy=policy,
-        checkpoint=checkpoint, executor=args.executor,
-        autotune=args.autotune, **obs_kwargs))
+        checkpoint=checkpoint, **obs_kwargs))
     rio.save_boundary(args.boundary_out, result.boundary)
     if args.sampled_out:
         rio.save_sampled(args.sampled_out, result.sampled)
@@ -966,8 +946,7 @@ def _cmd_compose(args, out) -> int:
         )
         result = core.run_campaign(wl, core.CampaignConfig(
             mode="compositional", compose=compose_cfg,
-            n_workers=args.workers, retry_policy=policy,
-            executor=args.executor, **obs_kwargs))
+            n_workers=args.workers, retry_policy=policy, **obs_kwargs))
     except ValueError as exc:
         raise SystemExit(str(exc)) from exc
     if args.boundary_out:
@@ -1033,7 +1012,7 @@ def _cmd_optimize(args, out) -> int:
             **_parse_sections(args.sections))
         result = core.run_campaign(wl, core.CampaignConfig(
             mode="compositional", compose=compose_cfg,
-            n_workers=args.workers, executor=args.executor, **obs_kwargs))
+            n_workers=args.workers, **obs_kwargs))
         model = build_cost_model(wl, modes=search_cfg.modes,
                                  margin=args.margin)
         evaluator = EnvelopeEvaluator.from_summaries(

@@ -1,8 +1,8 @@
 """The compositional campaign driver (``run_campaign(mode="compositional")``).
 
 Sections the workload's tape, campaigns each section in isolation (the
-tasks fan out across the same serial / process-pool / resilient
-executors as every other campaign mode), distills each into a
+tasks fan out across the campaign's executor, as in every other
+campaign mode), distills each into a
 :class:`~repro.compose.summary.SectionSummary`, and composes the
 summaries back-to-front into a whole-program boundary.
 
@@ -123,9 +123,11 @@ def _task_section(args: tuple) -> dict:
     return summary_arrays(summary)
 
 
-def run_compositional(workload: Workload,
-                      cfg: CampaignConfig) -> CompositionalCampaignResult:
-    """Drive one compositional campaign (see the module docstring)."""
+def run_compositional(workload: Workload, cfg: CampaignConfig,
+                      pool) -> CompositionalCampaignResult:
+    """Drive one compositional campaign (see the module docstring) on
+    ``pool``, the executor :func:`~repro.core.campaign.run_campaign`
+    opened for it."""
     ccfg = cfg.compose
     if ccfg is None:
         ccfg = ComposeConfig()
@@ -174,19 +176,16 @@ def run_compositional(workload: Workload,
             tasks = [(sections[i].index, sections[i].start, sections[i].end,
                       sections[i].name, keys[i], eps, cfg.batch_budget)
                      for i in pending]
-            with _campaign._campaign_executor(workload, cfg.n_workers,
-                                              cfg.retry_policy,
-                                              cfg.executor) as pool:
-                try:
-                    for j, arrays in pool.run_stream(_task_section, tasks):
-                        i = pending[j]
-                        summaries[i] = summary_from_arrays(arrays)
-                        if cache is not None:
-                            cache.put(summaries[i])
-                        done += 1
-                        progress.update(done, len(sections))
-                finally:
-                    health = getattr(pool, "health", None)
+            try:
+                for j, arrays in pool.run_stream(_task_section, tasks):
+                    i = pending[j]
+                    summaries[i] = summary_from_arrays(arrays)
+                    if cache is not None:
+                        cache.put(summaries[i])
+                    done += 1
+                    progress.update(done, len(sections))
+            finally:
+                health = getattr(pool, "health", None)
     finally:
         progress.finish()
 

@@ -54,19 +54,14 @@ across pool workers.  All of it is no-op while disabled.
 from __future__ import annotations
 
 import time
-from contextlib import contextmanager
+from contextlib import contextmanager, nullcontext
 from dataclasses import dataclass, field, replace
 from pathlib import Path
 from typing import Any
 
 import numpy as np
 
-from ..engine.batch import (
-    BatchReplayer,
-    calibrate_lanes,
-    lanes_for_budget,
-    make_replayer,
-)
+from ..engine.batch import BatchReplayer, lanes_for_budget, make_replayer
 from ..engine.classify import Outcome, classify_batch
 from ..engine.interpreter import GoldenTrace
 from ..engine.program import Program
@@ -76,7 +71,7 @@ from ..obs.trace import TRACER, rss_peak_kb, span
 from ..parallel.executor import (
     ProcessPoolCampaignExecutor,
     SerialExecutor,
-    ThreadPoolCampaignExecutor,
+    pool_start_method,
 )
 from ..parallel.partition import chunk_for_workers
 from ..parallel.progress import as_progress
@@ -113,12 +108,12 @@ CAMPAIGN_MODES = ("exhaustive", "sample", "monte_carlo", "adaptive",
                   "compositional")
 
 #: Valid :attr:`CampaignConfig.executor` values.
-EXECUTOR_KINDS = ("auto", "serial", "threads", "processes", "dist")
+EXECUTOR_KINDS = ("auto", "serial", "dist")
 
 # --------------------------------------------------------------------------
-# Worker-side state.  Process-pool workers attach the parent's published
-# shared-memory plane once; the serial and thread executors point these
-# globals at the parent's objects directly.
+# Worker-side state.  The serial plane and forked pool workers point these
+# globals at the parent's workload; workers the forkserver starts attach
+# the parent's published shared-memory plane or rebuild from the spec.
 # --------------------------------------------------------------------------
 
 _WL: Workload | None = None
@@ -126,24 +121,6 @@ _REPLAYER: BatchReplayer | None = None
 #: Worker-side shm attachment; module-global so the mapping (and therefore
 #: every zero-copy view the replayer holds) outlives the initializer call.
 _SHM = None
-
-#: The distributed plane of the campaign currently dispatching, set by
-#: :func:`run_campaign` around dispatch so every phase (including phases
-#: reached through recursive dispatch, e.g. compositional sections) can
-#: borrow it without threading a parameter through every impl signature.
-_ACTIVE_DIST_PLANE = None
-
-
-@contextmanager
-def _dist_plane_active(plane):
-    """Install ``plane`` as the dispatch-scoped distributed plane."""
-    global _ACTIVE_DIST_PLANE
-    previous = _ACTIVE_DIST_PLANE
-    _ACTIVE_DIST_PLANE = plane
-    try:
-        yield
-    finally:
-        _ACTIVE_DIST_PLANE = previous
 
 
 def _publish_workload_plane(workload: Workload):
@@ -180,7 +157,7 @@ def _publish_workload_plane(workload: Workload):
 
 
 def _init_worker_shm(handle: ShmHandle) -> None:
-    """Pool-worker initializer: attach the parent's plane zero-copy.
+    """Forkserver-worker initializer: attach the parent's plane zero-copy.
 
     The replay plan is per process: each worker builds it once from the
     attached trace.
@@ -211,7 +188,8 @@ def _init_worker_shm(handle: ShmHandle) -> None:
 
 
 def _init_worker_direct(workload: Workload) -> None:
-    """Serial/thread-executor initializer: reuse the in-process workload."""
+    """Initializer of the serial plane, forked pool workers and dist nodes:
+    use the workload in this process's memory."""
     global _WL, _REPLAYER
     _WL = workload
     _REPLAYER = make_replayer(workload.trace)
@@ -219,7 +197,7 @@ def _init_worker_direct(workload: Workload) -> None:
 
 def _init_worker_cfg_spec(spec: tuple[str, dict], tolerance: float,
                           norm: str) -> None:
-    """Process-pool initializer for CFG workloads: rebuild from the spec.
+    """Forkserver-worker initializer for CFG workloads: rebuild from the spec.
 
     CFG golden state (block path, per-step register snapshots) is not the
     flat-array shape the shm plane ships; the spec is a few bytes and the
@@ -240,15 +218,11 @@ def _is_cfg_workload(workload: Workload) -> bool:
     return is_cfg_workload(workload)
 
 
-def _resolve_executor_kind(executor: str, n_workers: int | None,
-                           retry_policy: RetryPolicy | None) -> str:
-    """Collapse the ``executor`` knob to one of serial/threads/processes.
+def _resolve_executor_kind(executor: str, n_workers: int | None) -> str:
+    """Collapse the ``executor`` knob to one of serial/processes/dist.
 
-    ``n_workers in (None, 0, 1)`` always runs serially.  ``"auto"`` picks
-    threads (the replayer's NumPy sweeps release the GIL and workers share
-    the parent's golden state for free) unless a ``retry_policy`` asks for
-    fault isolation, which only worker *processes* provide — a crashed
-    thread takes the interpreter down with it.
+    ``"auto"`` runs a process pool when ``n_workers > 1`` and serially
+    otherwise; ``"serial"`` ignores ``n_workers``.
     """
     if executor not in EXECUTOR_KINDS:
         raise ValueError(f"unknown executor {executor!r}; "
@@ -257,81 +231,125 @@ def _resolve_executor_kind(executor: str, n_workers: int | None,
         # worker count is per-node (each node announces its own); the
         # retry policy bounds the coordinator's lease retries instead
         return "dist"
-    if executor == "threads" and retry_policy is not None:
-        raise ValueError(
-            "retry_policy requires process workers (crash isolation and "
-            "timeouts are meaningless for threads); use "
-            'executor="processes" or drop the policy')
     if not n_workers or n_workers == 1 or executor == "serial":
         return "serial"
-    if executor == "auto":
-        return "processes" if retry_policy is not None else "threads"
-    return executor
+    return "processes"
+
+
+class _WorkerPools:
+    """Builds the process pools of one campaign (see DESIGN §6).
+
+    Each call applies :func:`~repro.parallel.executor.pool_start_method`,
+    so a :class:`~repro.parallel.resilience.ResilientExecutor` rebuild
+    re-decides how its workers start.  ``fork`` workers run
+    :func:`_init_worker_direct` on the inherited workload, with the replay
+    plan built here first (it is memoized on the trace, so every worker
+    shares the parent's copy).  ``forkserver`` workers rebuild a CFG
+    workload from its spec, or attach the tape and golden trace through
+    one shared-memory segment, published on first need and unlinked by
+    :meth:`close`.
+    """
+
+    def __init__(self, workload: Workload, n_workers: int | None):
+        self.workload = workload
+        self.n_workers = n_workers
+        self.plane = None
+
+    def __call__(self) -> ProcessPoolCampaignExecutor:
+        wl = self.workload
+        method = pool_start_method()
+        if method == "fork":
+            make_replayer(wl.trace)
+            init = _init_worker_direct, (wl,)
+        elif _is_cfg_workload(wl):
+            if wl.spec is None:
+                raise ValueError(
+                    "workers started from the forkserver (this process "
+                    "runs more than one thread) need a spec-built CFG "
+                    "workload (program.spec is None; build through the "
+                    "kernel registry or repro.cfg.lower_workload)")
+            init = _init_worker_cfg_spec, (wl.spec, wl.tolerance, wl.norm)
+        else:
+            if self.plane is None:
+                self.plane = _publish_workload_plane(wl)
+            init = _init_worker_shm, (self.plane.handle,)
+        return ProcessPoolCampaignExecutor(*init, n_workers=self.n_workers,
+                                           start_method=method)
+
+    def close(self) -> None:
+        if self.plane is not None:
+            self.plane.close()
+
+
+class _LazyPool:
+    """A campaign's plain process pool, built on its first batch of tasks.
+
+    A campaign with nothing left to run (a fully resumed checkpoint, a
+    warm compose cache) then never builds a replay plan or publishes a
+    shared-memory segment for a pool it would not use.
+    """
+
+    def __init__(self, factory: _WorkerPools):
+        self._factory = factory
+        self._pool: ProcessPoolCampaignExecutor | None = None
+
+    def _ensure(self) -> ProcessPoolCampaignExecutor:
+        if self._pool is None:
+            self._pool = self._factory()
+        return self._pool
+
+    def run(self, fn, tasks):
+        return self._ensure().run(fn, tasks)
+
+    def run_stream(self, fn, tasks):
+        return self._ensure().run_stream(fn, tasks)
+
+    def shutdown(self) -> None:
+        if self._pool is not None:
+            self._pool.shutdown()
 
 
 @contextmanager
 def _campaign_executor(workload: Workload, n_workers: int | None,
                        retry_policy: RetryPolicy | None = None,
-                       executor: str = "auto"):
-    """Executor for one campaign phase, with shm-plane lifecycle attached.
+                       executor: str = "auto", dist=None):
+    """The executor of one campaign, shared by all of its phases.
 
-    For process pools the workload plane is published before the pool
-    starts and unlinked after ``shutdown()`` — on normal exit, on error
-    and on ``KeyboardInterrupt`` alike, so no segment outlives the
-    campaign.  The handle stays valid across
-    :class:`~repro.parallel.resilience.ResilientExecutor` pool rebuilds
-    because rebuilds re-run the initializer against the same still-open
-    segment.
+    A shared-memory segment published for process workers is unlinked
+    after ``shutdown()`` — on normal exit, on error and on
+    ``KeyboardInterrupt`` alike, so no segment outlives the campaign —
+    and stays valid across
+    :class:`~repro.parallel.resilience.ResilientExecutor` pool rebuilds.
     """
-    kind = _resolve_executor_kind(executor, n_workers, retry_policy)
-    plane = None
-    if kind == "dist":
-        dist_plane = _ACTIVE_DIST_PLANE
-        if dist_plane is None:
-            raise RuntimeError(
-                'executor="dist" needs an active distributed plane; pass '
-                "CampaignConfig.dist (a repro.dist.DistPlane) to "
-                "run_campaign")
-        pool = dist_plane.executor(workload, retry_policy)
-    elif kind == "serial":
-        pool = SerialExecutor(initializer=_init_worker_direct,
-                              initargs=(workload,))
-    elif kind == "threads":
-        pool = ThreadPoolCampaignExecutor(initializer=_init_worker_direct,
-                                          initargs=(workload,),
-                                          n_workers=n_workers)
-    else:
-        if _is_cfg_workload(workload):
-            # CFG golden state is rebuilt per worker from the spec (see
-            # _init_worker_cfg_spec) instead of shipped via shm.
-            if workload.spec is None:
-                raise ValueError(
-                    "process workers need a spec-built CFG workload "
-                    "(program.spec is None; build through the kernel "
-                    "registry or repro.cfg.lower_workload)")
-            initializer = _init_worker_cfg_spec
-            initargs = (workload.spec, workload.tolerance, workload.norm)
-        else:
-            plane = _publish_workload_plane(workload)
-            initializer = _init_worker_shm
-            initargs = (plane.handle,)
-        if retry_policy is not None:
-            pool = ResilientExecutor(initializer=initializer,
-                                     initargs=initargs,
-                                     n_workers=n_workers,
-                                     policy=retry_policy)
-        else:
-            pool = ProcessPoolCampaignExecutor(initializer=initializer,
-                                               initargs=initargs,
-                                               n_workers=n_workers)
+    kind = _resolve_executor_kind(executor, n_workers)
+    pools = _WorkerPools(workload, n_workers) if kind == "processes" \
+        else None
     try:
-        yield pool
-    finally:
+        if kind == "dist":
+            if dist is None:
+                raise RuntimeError(
+                    'executor="dist" needs a distributed plane; pass '
+                    "CampaignConfig.dist (a repro.dist.DistPlane) to "
+                    "run_campaign")
+            pool = dist.executor(workload, retry_policy)
+        elif kind == "serial":
+            pool = SerialExecutor(initializer=_init_worker_direct,
+                                  initargs=(workload,))
+        elif retry_policy is not None:
+            pool = ResilientExecutor(initializer=_init_worker_direct,
+                                     initargs=(workload,),
+                                     n_workers=n_workers,
+                                     policy=retry_policy,
+                                     pool_factory=pools)
+        else:
+            pool = _LazyPool(pools)
         try:
-            pool.shutdown()
+            yield pool
         finally:
-            if plane is not None:
-                plane.close()
+            pool.shutdown()
+    finally:
+        if pools is not None:
+            pools.close()
 
 
 def _task_outcomes(flat_chunk: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -377,25 +395,22 @@ def _task_aggregate(
 
 
 def _chunk_flats(workload: Workload, flat: np.ndarray,
-                 batch_budget: int, n_workers: int | None = None,
-                 autotune: bool = False) -> list[np.ndarray]:
+                 batch_budget: int,
+                 n_workers: int | None = None) -> list[np.ndarray]:
     """Sort experiments by site and cut into replayer-sized chunks.
 
     Sorting groups adjacent sites so each chunk's replay sweep starts as
     late as possible; the chunk size respects the batch memory budget.
-    ``n_workers`` additionally shrinks chunks so a pool can load-balance,
-    and ``autotune`` replaces the budget guess with a measured lane width
-    (:func:`~repro.engine.batch.calibrate_lanes`).  Chunk layout never
-    affects campaign results (merges are commutative over the sorted
-    order), but callers resuming from a checkpoint must pass neither —
-    checkpoints pin the layout they were written with.
+    ``n_workers`` additionally shrinks chunks so a pool can load-balance
+    (:func:`~repro.parallel.partition.chunk_for_workers`).  Chunk layout
+    never affects campaign results (merges are commutative over the
+    sorted order), but callers resuming from a checkpoint must not pass
+    it — checkpoints pin the layout they were written with.
     """
     flat = np.sort(np.asarray(flat, dtype=np.int64))
     n_rows = len(workload.program)
     lanes = lanes_for_budget(n_rows, workload.program.dtype.itemsize,
                              batch_budget, n_experiments=int(flat.size))
-    if autotune and flat.size:
-        lanes = calibrate_lanes(make_replayer(workload.trace), lanes)
     return chunk_for_workers(flat, lanes, n_workers)
 
 
@@ -480,23 +495,19 @@ class CampaignConfig:
     mode:
         One of ``exhaustive`` / ``sample`` / ``monte_carlo`` / ``adaptive``.
     n_workers:
-        Worker count; ``None``/``0``/``1`` runs serially.
+        Worker count; ``None``/``0``/``1`` runs serially.  More than one
+        runs one process pool for the whole campaign, whose workers
+        start by ``fork`` and inherit the workload when this process
+        runs one thread, and otherwise start from a ``forkserver`` and
+        attach it through POSIX shared memory (CFG workloads: rebuild it
+        from its spec).
     executor:
-        Execution plane: ``"serial"`` forces in-process execution;
-        ``"threads"`` shares the parent's workload across a thread pool
-        (zero setup cost — the replayer's NumPy sweeps release the GIL);
-        ``"processes"`` publishes the workload through POSIX shared
-        memory and runs a process pool attaching zero-copy; ``"dist"``
-        leases chunks to remote worker nodes through the
-        :class:`~repro.dist.DistPlane` passed as :attr:`dist`; ``"auto"``
-        (default) picks threads, or processes when ``retry_policy``
-        needs crash isolation.  The choice never affects results — every
-        plane is bit-identical to serial.
-    autotune:
-        Replace the static memory-budget lane guess with a short
-        calibration sweep (:func:`~repro.engine.batch.calibrate_lanes`)
-        before chunking.  Ignored for checkpointed runs, whose chunk
-        layout is pinned.
+        Execution plane: ``"auto"`` (default) follows ``n_workers``;
+        ``"serial"`` forces in-process execution; ``"dist"`` leases
+        chunks to remote worker nodes through the
+        :class:`~repro.dist.DistPlane` passed as :attr:`dist`.  The
+        choice never affects results — every plane is bit-identical to
+        serial.
     batch_budget:
         Byte budget for one replay batch's value + deviation matrices.
     progress:
@@ -537,7 +548,6 @@ class CampaignConfig:
     #: :class:`~repro.dist.DistPlane` serving ``executor="dist"`` runs;
     #: owned by the caller (CLI / job service), which also closes it
     dist: Any = None
-    autotune: bool = False
     batch_budget: int = DEFAULT_BATCH_BUDGET
     progress: Any = None
     retry_policy: RetryPolicy | None = None
@@ -568,10 +578,6 @@ class CampaignConfig:
             raise ValueError(
                 f"unknown executor {self.executor!r}; "
                 f"expected one of {EXECUTOR_KINDS}")
-        if self.executor == "threads" and self.retry_policy is not None:
-            # fail fast: _resolve_executor_kind would reject this at run
-            # time, after checkpoints/sinks are already set up
-            _resolve_executor_kind(self.executor, 2, self.retry_policy)
         if self.executor == "dist" and self.dist is None:
             raise ValueError(
                 'executor="dist" needs CampaignConfig.dist (a '
@@ -587,56 +593,28 @@ class CampaignConfig:
 
 
 # --------------------------------------------------------------------------
-# Campaign implementations (private; dispatched by run_campaign)
+# Campaign implementations (private; dispatched by run_campaign, which
+# opens the campaign's executor once and hands it to every phase)
 # --------------------------------------------------------------------------
-
-
-def _exhaustive_impl(
-    workload: Workload,
-    n_workers: int | None = None,
-    batch_budget: int = DEFAULT_BATCH_BUDGET,
-    progress=None,
-    retry_policy: RetryPolicy | None = None,
-    checkpoint: CampaignCheckpoint | None = None,
-    executor: str = "auto",
-    autotune: bool = False,
-) -> ExhaustiveResult:
-    """Run every (site, bit) experiment — the §4.1 ground-truth campaign."""
-    space = SampleSpace.of_program(workload.program)
-    flat_all = np.arange(space.size, dtype=np.int64)
-    sampled = _experiments_impl(workload, flat_all, n_workers=n_workers,
-                                batch_budget=batch_budget, progress=progress,
-                                retry_policy=retry_policy,
-                                checkpoint=checkpoint, executor=executor,
-                                autotune=autotune)
-    pos, bit = space.decode(sampled.flat)
-    outcomes = np.empty((space.n_sites, space.bits), dtype=np.uint8)
-    inj = np.empty((space.n_sites, space.bits), dtype=np.float64)
-    outcomes[pos, bit] = sampled.outcomes
-    inj[pos, bit] = sampled.injected_errors
-    return ExhaustiveResult(space=space, outcomes=outcomes,
-                            injected_errors=inj, health=sampled.health)
 
 
 def _experiments_impl(
     workload: Workload,
     flat: np.ndarray,
+    pool,
     n_workers: int | None = None,
     batch_budget: int = DEFAULT_BATCH_BUDGET,
     progress=None,
-    retry_policy: RetryPolicy | None = None,
     checkpoint: CampaignCheckpoint | None = None,
-    executor: str = "auto",
-    autotune: bool = False,
 ) -> SampledResult:
     """Phase A: classify an arbitrary set of experiments (no propagation).
 
-    Results stream in completion order (chunk merges are commutative and
-    phase-A chunks re-sort by index afterwards), so ``progress`` advances
-    chunk by chunk for pool runs too.  With a ``checkpoint``, completed
-    chunks persist as they finish and a resumed call re-runs only the
-    missing ones; checkpoints also pin the chunk layout, so worker-aware
-    chunking and lane autotuning are disabled for checkpointed runs.
+    Results stream from ``pool`` in completion order (chunk merges are
+    commutative and phase-A chunks re-sort by index afterwards), so
+    ``progress`` advances chunk by chunk for pool runs too.  With a
+    ``checkpoint``, completed chunks persist as they finish and a resumed
+    call re-runs only the missing ones; checkpoints also pin the chunk
+    layout, so worker-aware chunking is disabled for checkpointed runs.
     """
     space = SampleSpace.of_program(workload.program)
     flat = np.asarray(flat, dtype=np.int64)
@@ -646,8 +624,7 @@ def _experiments_impl(
 
     pinned = checkpoint is not None
     chunks = _chunk_flats(workload, flat, batch_budget,
-                          n_workers=None if pinned else n_workers,
-                          autotune=autotune and not pinned)
+                          n_workers=None if pinned else n_workers)
     results: dict[int, tuple[np.ndarray, np.ndarray]] = {}
     phase = None
     if checkpoint is not None:
@@ -656,27 +633,21 @@ def _experiments_impl(
 
     pending = [i for i in range(len(chunks)) if i not in results]
     done = sum(len(res[0]) for res in results.values())
-    health: CampaignHealth | None = None
     with span("campaign.phase_a", n_experiments=int(flat.size),
               n_chunks=len(chunks), n_resumed_chunks=len(results)):
         try:
             if done:
                 progress.update(done, flat.size)
             if pending:
-                with _campaign_executor(workload, n_workers, retry_policy,
-                                        executor) as pool:
-                    try:
-                        stream = pool.run_stream(
-                            _task_outcomes, [chunks[i] for i in pending])
-                        for j, res in stream:
-                            index = pending[j]
-                            results[index] = res
-                            if phase is not None:
-                                phase.record(index, *res)
-                            done += len(res[0])
-                            progress.update(done, flat.size)
-                    finally:
-                        health = getattr(pool, "health", None)
+                stream = pool.run_stream(_task_outcomes,
+                                         [chunks[i] for i in pending])
+                for j, res in stream:
+                    index = pending[j]
+                    results[index] = res
+                    if phase is not None:
+                        phase.record(index, *res)
+                    done += len(res[0])
+                    progress.update(done, flat.size)
         finally:
             progress.finish()
 
@@ -685,7 +656,8 @@ def _experiments_impl(
     outcomes = np.concatenate([r[0] for r in ordered])
     inj = np.concatenate([r[1] for r in ordered])
     return SampledResult(space=space, flat=sorted_flat, outcomes=outcomes,
-                         injected_errors=inj, health=health)
+                         injected_errors=inj,
+                         health=getattr(pool, "health", None))
 
 
 def infer_boundary(
@@ -700,7 +672,7 @@ def infer_boundary(
     retry_policy: RetryPolicy | None = None,
     checkpoint: CampaignCheckpoint | None = None,
     executor: str = "auto",
-    autotune: bool = False,
+    pool=None,
 ) -> FaultToleranceBoundary:
     """Phase B: build the Algorithm 1 boundary from a sampled campaign.
 
@@ -710,11 +682,13 @@ def infer_boundary(
     fully sampled sites take their exact §4.1 thresholds when
     ``exact_rule`` is on (§4.4).
 
-    Aggregator partials merge by per-instruction max (``delta_e``) and sum
-    (``info``) — commutative and associative — so results stream in
-    completion order and, with a ``checkpoint``, the merged partial
-    persists after every chunk; a resumed call replays only the chunks the
-    partial has not absorbed.
+    The replays run on ``pool`` when given (a campaign's executor), else
+    on an executor opened from ``n_workers`` / ``retry_policy`` /
+    ``executor`` for this call.  Aggregator partials merge by
+    per-instruction max (``delta_e``) and sum (``info``) — commutative
+    and associative — so results stream in completion order and, with a
+    ``checkpoint``, the merged partial persists after every chunk; a
+    resumed call replays only the chunks the partial has not absorbed.
     """
     space = sampled.space
     progress = as_progress(progress)
@@ -735,8 +709,7 @@ def infer_boundary(
         if masked_flat.size:
             pinned = checkpoint is not None
             chunks = _chunk_flats(workload, masked_flat, batch_budget,
-                                  n_workers=None if pinned else n_workers,
-                                  autotune=autotune and not pinned)
+                                  n_workers=None if pinned else n_workers)
             phase = None
             done = 0
             pending = list(range(len(chunks)))
@@ -753,11 +726,12 @@ def infer_boundary(
                 if done:
                     progress.update(done, masked_flat.size)
                 if pending:
-                    with _campaign_executor(workload, n_workers,
-                                            retry_policy,
-                                            executor) as pool:
+                    with (nullcontext(pool) if pool is not None else
+                          _campaign_executor(workload, n_workers,
+                                             retry_policy, executor)
+                          ) as run_on:
                         try:
-                            for j, (d, i, k) in pool.run_stream(
+                            for j, (d, i, k) in run_on.run_stream(
                                     _task_aggregate, tasks):
                                 if phase is not None:
                                     phase.record(pending[j], d, i, k)
@@ -767,7 +741,7 @@ def infer_boundary(
                                 done += k
                                 progress.update(done, masked_flat.size)
                         finally:
-                            health = getattr(pool, "health", None)
+                            health = getattr(run_on, "health", None)
             finally:
                 progress.finish()
 
@@ -784,67 +758,76 @@ def infer_boundary(
     return boundary
 
 
-def _monte_carlo_impl(
-    workload: Workload,
-    sampling_rate: float,
-    rng: np.random.Generator,
-    use_filter: bool = True,
-    exact_rule: bool = True,
-    rel_info_threshold: float = 1e-8,
-    n_workers: int | None = None,
-    batch_budget: int = DEFAULT_BATCH_BUDGET,
-    progress=None,
-    retry_policy: RetryPolicy | None = None,
-    checkpoint: CampaignCheckpoint | None = None,
-    executor: str = "auto",
-    autotune: bool = False,
-) -> tuple[SampledResult, FaultToleranceBoundary]:
+def _infer(workload: Workload, sampled: SampledResult, cfg: CampaignConfig,
+           pool) -> FaultToleranceBoundary:
+    """Phase B of a sampling campaign, on the campaign's executor."""
+    return infer_boundary(workload, sampled, use_filter=cfg.use_filter,
+                          exact_rule=cfg.exact_rule,
+                          rel_info_threshold=cfg.rel_info_threshold,
+                          n_workers=cfg.n_workers,
+                          batch_budget=cfg.batch_budget,
+                          progress=cfg.progress, checkpoint=cfg.checkpoint,
+                          pool=pool)
+
+
+def _run_exhaustive(workload: Workload, cfg: CampaignConfig,
+                    pool) -> CampaignResult:
+    """Run every (site, bit) experiment — the §4.1 ground-truth campaign."""
+    space = SampleSpace.of_program(workload.program)
+    sampled = _experiments_impl(workload,
+                                np.arange(space.size, dtype=np.int64), pool,
+                                n_workers=cfg.n_workers,
+                                batch_budget=cfg.batch_budget,
+                                progress=cfg.progress,
+                                checkpoint=cfg.checkpoint)
+    pos, bit = space.decode(sampled.flat)
+    outcomes = np.empty((space.n_sites, space.bits), dtype=np.uint8)
+    inj = np.empty((space.n_sites, space.bits), dtype=np.float64)
+    outcomes[pos, bit] = sampled.outcomes
+    inj[pos, bit] = sampled.injected_errors
+    return ExhaustiveCampaignResult(exhaustive=ExhaustiveResult(
+        space=space, outcomes=outcomes, injected_errors=inj,
+        health=sampled.health))
+
+
+def _run_sample(workload: Workload, cfg: CampaignConfig,
+                pool) -> CampaignResult:
+    if cfg.experiments is None:
+        raise ValueError('mode="sample" needs CampaignConfig.experiments '
+                         "(flat indices of the experiments to run)")
+    return SampleCampaignResult(sampled=_experiments_impl(
+        workload, cfg.experiments, pool, n_workers=cfg.n_workers,
+        batch_budget=cfg.batch_budget, progress=cfg.progress,
+        checkpoint=cfg.checkpoint))
+
+
+def _run_monte_carlo(workload: Workload, cfg: CampaignConfig,
+                     pool) -> CampaignResult:
     """Uniform-sampling campaign (§4.2): sample, run, infer.
 
     ``sampling_rate`` is the fraction of the full (site, bit) space.  The
-    draw is a pure function of ``rng``'s state, so re-running with the
+    draw is a pure function of the rng's state, so re-running with the
     same seed and a ``checkpoint`` resumes both phases exactly.
     ``progress`` sees phase A first, then (after a ``finish``) phase B.
     """
-    if sampling_rate is None or not 0 < sampling_rate <= 1:
-        raise ValueError("sampling rate must be in (0, 1]")
-    progress = as_progress(progress)
+    rate = cfg.sampling_rate
+    if rate is None or not 0 < rate <= 1:
+        raise ValueError('mode="monte_carlo" needs '
+                         "CampaignConfig.sampling_rate in (0, 1]")
     space = SampleSpace.of_program(workload.program)
-    n_samples = max(1, int(round(sampling_rate * space.size)))
-    flat = uniform_sample(space, n_samples, rng)
-    sampled = _experiments_impl(workload, flat, n_workers=n_workers,
-                                batch_budget=batch_budget,
-                                progress=progress,
-                                retry_policy=retry_policy,
-                                checkpoint=checkpoint, executor=executor,
-                                autotune=autotune)
-    boundary = infer_boundary(workload, sampled, use_filter=use_filter,
-                              exact_rule=exact_rule,
-                              rel_info_threshold=rel_info_threshold,
-                              n_workers=n_workers,
-                              batch_budget=batch_budget,
-                              progress=progress,
-                              retry_policy=retry_policy,
-                              checkpoint=checkpoint, executor=executor,
-                              autotune=autotune)
-    return sampled, boundary
+    n_samples = max(1, int(round(rate * space.size)))
+    flat = uniform_sample(space, n_samples, cfg.resolve_rng())
+    sampled = _experiments_impl(workload, flat, pool,
+                                n_workers=cfg.n_workers,
+                                batch_budget=cfg.batch_budget,
+                                progress=cfg.progress,
+                                checkpoint=cfg.checkpoint)
+    return MonteCarloCampaignResult(
+        sampled=sampled, boundary=_infer(workload, sampled, cfg, pool))
 
 
-def _adaptive_impl(
-    workload: Workload,
-    rng: np.random.Generator,
-    config: ProgressiveConfig | None = None,
-    use_filter: bool = True,
-    exact_rule: bool = True,
-    rel_info_threshold: float = 1e-8,
-    n_workers: int | None = None,
-    batch_budget: int = DEFAULT_BATCH_BUDGET,
-    progress=None,
-    retry_policy: RetryPolicy | None = None,
-    checkpoint: CampaignCheckpoint | None = None,
-    executor: str = "auto",
-    autotune: bool = False,
-) -> AdaptiveResult:
+def _run_adaptive(workload: Workload, cfg: CampaignConfig,
+                  pool) -> CampaignResult:
     """Progressive adaptive-sampling campaign (§3.4).
 
     Each round draws biased samples (``p_i ∝ 1/S_i``) from the candidate
@@ -858,20 +841,21 @@ def _adaptive_impl(
     With a ``checkpoint``, the loop persists its whole state after every
     round — accumulated sample, guide aggregate, sampler counters and the
     generator state — so a resumed call continues with exactly the rounds
-    the uninterrupted run would have drawn (``rng``'s state is overwritten
+    the uninterrupted run would have drawn (the rng's state is overwritten
     by the stored one).  The final inference also checkpoints per chunk.
     """
-    config = config or ProgressiveConfig()
-    progress = as_progress(progress)
+    rng = cfg.resolve_rng()
+    checkpoint = cfg.checkpoint
+    progress = cfg.progress
     space = SampleSpace.of_program(workload.program)
-    sampler = ProgressiveSampler(space, config, rng)
+    sampler = ProgressiveSampler(space, cfg.progressive or ProgressiveConfig(),
+                                 rng)
     predictor = BoundaryPredictor(workload.trace)
 
     guide = ThresholdAggregator(workload.trace, caps=None)
     guide_replayer = make_replayer(workload.trace)
     total: SampledResult | None = None
     history: list[dict] = []
-    health: CampaignHealth | None = None
 
     if checkpoint is not None:
         restored = checkpoint.load_adaptive_round()
@@ -902,24 +886,19 @@ def _adaptive_impl(
             chosen = sampler.select_round(guide_boundary.info, pred_flat)
             if chosen.size == 0:
                 break
-            round_res = _experiments_impl(workload, chosen,
-                                          n_workers=n_workers,
-                                          batch_budget=batch_budget,
-                                          progress=progress,
-                                          retry_policy=retry_policy,
-                                          executor=executor,
-                                          autotune=autotune)
+            round_res = _experiments_impl(workload, chosen, pool,
+                                          n_workers=cfg.n_workers,
+                                          batch_budget=cfg.batch_budget,
+                                          progress=progress)
             sampler.record_round(round_res.outcomes)
             total = (round_res if total is None
                      else total.merged_with(round_res))
-            if round_res.health is not None:
-                health = (round_res.health if health is None
-                          else health.merged_with(round_res.health))
 
             # Incremental guide update: replay this round's masked subset
             # once, streaming into the (unfiltered) running aggregate.
             masked_flat = round_res.flat[round_res.masked_mask]
-            for chunk in _chunk_flats(workload, masked_flat, batch_budget):
+            for chunk in _chunk_flats(workload, masked_flat,
+                                      cfg.batch_budget):
                 ci, cb = space.instructions_of(chunk)
                 guide_replayer.replay(ci, cb, sink=guide)
             history.append({
@@ -951,105 +930,24 @@ def _adaptive_impl(
 
     if total is None:
         raise RuntimeError("adaptive campaign selected no experiments")
-
-    boundary = infer_boundary(workload, total, use_filter=use_filter,
-                              exact_rule=exact_rule,
-                              rel_info_threshold=rel_info_threshold,
-                              n_workers=n_workers,
-                              batch_budget=batch_budget,
-                              progress=progress,
-                              retry_policy=retry_policy,
-                              checkpoint=checkpoint, executor=executor,
-                              autotune=autotune)
-    if boundary.health is not None:
-        health = (boundary.health if health is None
-                  else health.merged_with(boundary.health))
-    return AdaptiveResult(sampled=total, boundary=boundary,
-                          rounds=sampler.rounds_run, round_history=history,
-                          health=health)
+    return AdaptiveResult(sampled=total,
+                          boundary=_infer(workload, total, cfg, pool),
+                          rounds=sampler.rounds_run, round_history=history)
 
 
-# --------------------------------------------------------------------------
-# The unified entry point
-# --------------------------------------------------------------------------
-
-
-def _dispatch_exhaustive(workload: Workload,
-                         cfg: CampaignConfig) -> CampaignResult:
-    golden = _exhaustive_impl(workload, n_workers=cfg.n_workers,
-                              batch_budget=cfg.batch_budget,
-                              progress=cfg.progress,
-                              retry_policy=cfg.retry_policy,
-                              checkpoint=cfg.checkpoint,
-                              executor=cfg.executor, autotune=cfg.autotune)
-    return ExhaustiveCampaignResult(exhaustive=golden, health=golden.health)
-
-
-def _dispatch_sample(workload: Workload,
-                     cfg: CampaignConfig) -> CampaignResult:
-    if cfg.experiments is None:
-        raise ValueError('mode="sample" needs CampaignConfig.experiments '
-                         "(flat indices of the experiments to run)")
-    sampled = _experiments_impl(workload, cfg.experiments,
-                                n_workers=cfg.n_workers,
-                                batch_budget=cfg.batch_budget,
-                                progress=cfg.progress,
-                                retry_policy=cfg.retry_policy,
-                                checkpoint=cfg.checkpoint,
-                                executor=cfg.executor,
-                                autotune=cfg.autotune)
-    return SampleCampaignResult(sampled=sampled, health=sampled.health)
-
-
-def _dispatch_monte_carlo(workload: Workload,
-                          cfg: CampaignConfig) -> CampaignResult:
-    if cfg.sampling_rate is None:
-        raise ValueError('mode="monte_carlo" needs '
-                         "CampaignConfig.sampling_rate in (0, 1]")
-    sampled, boundary = _monte_carlo_impl(
-        workload, cfg.sampling_rate, cfg.resolve_rng(),
-        use_filter=cfg.use_filter, exact_rule=cfg.exact_rule,
-        rel_info_threshold=cfg.rel_info_threshold,
-        n_workers=cfg.n_workers, batch_budget=cfg.batch_budget,
-        progress=cfg.progress,
-        retry_policy=cfg.retry_policy, checkpoint=cfg.checkpoint,
-        executor=cfg.executor, autotune=cfg.autotune)
-    health = sampled.health
-    if boundary.health is not None:
-        health = (boundary.health if health is None
-                  else health.merged_with(boundary.health))
-    return MonteCarloCampaignResult(sampled=sampled, boundary=boundary,
-                                    health=health)
-
-
-def _dispatch_adaptive(workload: Workload,
-                       cfg: CampaignConfig) -> CampaignResult:
-    return _adaptive_impl(workload, cfg.resolve_rng(),
-                          config=cfg.progressive,
-                          use_filter=cfg.use_filter,
-                          exact_rule=cfg.exact_rule,
-                          rel_info_threshold=cfg.rel_info_threshold,
-                          n_workers=cfg.n_workers,
-                          batch_budget=cfg.batch_budget,
-                          progress=cfg.progress,
-                          retry_policy=cfg.retry_policy,
-                          checkpoint=cfg.checkpoint,
-                          executor=cfg.executor, autotune=cfg.autotune)
-
-
-def _dispatch_compositional(workload: Workload,
-                            cfg: CampaignConfig) -> CampaignResult:
+def _run_compositional(workload: Workload, cfg: CampaignConfig,
+                       pool) -> CampaignResult:
     # Imported lazily: repro.compose builds on this module.
     from ..compose.run import run_compositional
-    return run_compositional(workload, cfg)
+    return run_compositional(workload, cfg, pool)
 
 
 _DISPATCH = {
-    "exhaustive": _dispatch_exhaustive,
-    "sample": _dispatch_sample,
-    "monte_carlo": _dispatch_monte_carlo,
-    "adaptive": _dispatch_adaptive,
-    "compositional": _dispatch_compositional,
+    "exhaustive": _run_exhaustive,
+    "sample": _run_sample,
+    "monte_carlo": _run_monte_carlo,
+    "adaptive": _run_adaptive,
+    "compositional": _run_compositional,
 }
 
 
@@ -1081,6 +979,10 @@ def run_campaign(workload: Workload,
         result.health
         result.metrics         # populated when metrics=True
 
+    The campaign's executor is opened once, here: every phase, adaptive
+    round and compositional section runs on it, and ``result.health`` is
+    its record.
+
     With ``config.metrics`` on, the global metrics registry is enabled for
     the duration of the run and the campaign's own contribution (fleet-wide
     across pool workers) is attached as ``result.metrics``; with a
@@ -1091,6 +993,9 @@ def run_campaign(workload: Workload,
         config = CampaignConfig(**overrides)
     elif overrides:
         config = replace(config, **overrides)
+    # one progress object for all phases: a callback's phase counter
+    # advances across them
+    config = replace(config, progress=as_progress(config.progress))
 
     metrics_before = None
     metrics_was_enabled = False
@@ -1109,8 +1014,11 @@ def run_campaign(workload: Workload,
                   kernel=workload.name or "unnamed",
                   n_workers=config.n_workers or 1,
                   executor=config.executor), \
-                _dist_plane_active(config.dist):
-            result = _DISPATCH[config.mode](workload, config)
+                _campaign_executor(workload, config.n_workers,
+                                   config.retry_policy, config.executor,
+                                   config.dist) as pool:
+            result = _DISPATCH[config.mode](workload, config, pool)
+            result.health = getattr(pool, "health", None)
     finally:
         if config.trace_sink is not None:
             TRACER.remove_sink(config.trace_sink)

@@ -31,6 +31,7 @@ from .baselines import site_groups
 from .boundary import FaultToleranceBoundary
 from .campaign import (
     DEFAULT_BATCH_BUDGET,
+    _campaign_executor,
     _chunk_flats,
     _experiments_impl,
     infer_boundary,
@@ -86,48 +87,51 @@ def run_combined(
             seed_flats.append(space.encode(np.full(space.bits, site_pos),
                                            np.arange(space.bits)))
     seed_flat = np.unique(np.concatenate(seed_flats))
-    total = _experiments_impl(workload, seed_flat, n_workers=n_workers,
-                              batch_budget=batch_budget)
+    with _campaign_executor(workload, n_workers) as pool:
+        total = _experiments_impl(workload, seed_flat, pool,
+                                  n_workers=n_workers,
+                                  batch_budget=batch_budget)
 
-    # seed the unfiltered guide aggregate with the pilots' propagation
-    guide = ThresholdAggregator(workload.trace, caps=None)
-    replayer = BatchReplayer(workload.trace)
-    masked_flat = total.flat[total.masked_mask]
-    for chunk in _chunk_flats(workload, masked_flat, batch_budget):
-        ci, cb = space.instructions_of(chunk)
-        replayer.replay(ci, cb, sink=guide)
-
-    # ---- refinement phase: §3.4 rounds starting from the seeded state
-    sampler = ProgressiveSampler(space, config, rng)
-    sampler.sampled[total.flat] = True
-    predictor = BoundaryPredictor(workload.trace)
-    history: list[dict] = []
-
-    while not sampler.should_stop():
-        guide_boundary = guide.boundary(space)
-        pred_flat = predictor.predict_masked(guide_boundary).ravel()
-        chosen = sampler.select_round(guide_boundary.info, pred_flat)
-        if chosen.size == 0:
-            break
-        round_res = _experiments_impl(workload, chosen, n_workers=n_workers,
-                                      batch_budget=batch_budget)
-        sampler.record_round(round_res.outcomes)
-        total = total.merged_with(round_res)
-        masked_flat = round_res.flat[round_res.masked_mask]
+        # seed the unfiltered guide aggregate with the pilots' propagation
+        guide = ThresholdAggregator(workload.trace, caps=None)
+        replayer = BatchReplayer(workload.trace)
+        masked_flat = total.flat[total.masked_mask]
         for chunk in _chunk_flats(workload, masked_flat, batch_budget):
             ci, cb = space.instructions_of(chunk)
             replayer.replay(ci, cb, sink=guide)
-        history.append({
-            "round": sampler.rounds_run,
-            "n_samples": int(chosen.size),
-            "masked_fraction": float(np.mean(
-                round_res.outcomes == int(Outcome.MASKED))),
-            "total_samples": int(total.n_samples),
-        })
 
-    boundary = infer_boundary(workload, total, use_filter=use_filter,
-                              exact_rule=exact_rule, n_workers=n_workers,
-                              batch_budget=batch_budget)
+        # ---- refinement phase: §3.4 rounds starting from the seeded state
+        sampler = ProgressiveSampler(space, config, rng)
+        sampler.sampled[total.flat] = True
+        predictor = BoundaryPredictor(workload.trace)
+        history: list[dict] = []
+
+        while not sampler.should_stop():
+            guide_boundary = guide.boundary(space)
+            pred_flat = predictor.predict_masked(guide_boundary).ravel()
+            chosen = sampler.select_round(guide_boundary.info, pred_flat)
+            if chosen.size == 0:
+                break
+            round_res = _experiments_impl(workload, chosen, pool,
+                                          n_workers=n_workers,
+                                          batch_budget=batch_budget)
+            sampler.record_round(round_res.outcomes)
+            total = total.merged_with(round_res)
+            masked_flat = round_res.flat[round_res.masked_mask]
+            for chunk in _chunk_flats(workload, masked_flat, batch_budget):
+                ci, cb = space.instructions_of(chunk)
+                replayer.replay(ci, cb, sink=guide)
+            history.append({
+                "round": sampler.rounds_run,
+                "n_samples": int(chosen.size),
+                "masked_fraction": float(np.mean(
+                    round_res.outcomes == int(Outcome.MASKED))),
+                "total_samples": int(total.n_samples),
+            })
+
+        boundary = infer_boundary(workload, total, use_filter=use_filter,
+                                  exact_rule=exact_rule, n_workers=n_workers,
+                                  batch_budget=batch_budget, pool=pool)
     return CombinedResult(
         sampled=total,
         boundary=boundary,

@@ -234,8 +234,10 @@ class SampledResult:
         if other.space.size != self.space.size or other.space.bits != self.space.bits:
             raise ValueError("cannot merge results from different spaces")
         flat = np.concatenate([self.flat, other.flat])
-        health = (self.health.merged_with(other.health)
-                  if self.health is not None else other.health)
+        # rounds run on one executor share its (cumulative) record
+        health = (other.health
+                  if self.health is None or self.health is other.health
+                  else self.health.merged_with(other.health))
         return SampledResult(
             space=self.space,
             flat=flat,

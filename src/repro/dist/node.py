@@ -4,9 +4,10 @@ A node is deliberately dumb: it connects to a coordinator, announces its
 capacity (``hello``), rebuilds the campaign workload from the spec the
 coordinator ``welcome``s it with (verifying the content key — a node
 with a diverging kernel registry must refuse work rather than poison the
-merged boundary), and then executes whatever leases arrive on a local
-thread pool — the same shared-workload thread plane single-node
-campaigns use, so node results are bit-identical to local execution.
+merged boundary), and then executes whatever leases arrive on a thread
+pool of its own.  Its threads run the campaign's own task functions on
+the rebuilt workload, so node results are bit-identical to local
+execution.
 
 The node never tracks campaign state: leases are self-contained (chunk
 indices in, reduced arrays out), results are keyed by content hash, and

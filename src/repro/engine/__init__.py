@@ -14,7 +14,6 @@ from .batch import (
     BatchReplayer,
     PropagationSink,
     ReplayBatch,
-    calibrate_lanes,
     lanes_for_budget,
     make_replayer,
 )
@@ -48,7 +47,6 @@ __all__ = [
     "Val",
     "bits_for_dtype",
     "burst_corruptions",
-    "calibrate_lanes",
     "classify_batch",
     "consumers_of",
     "dataflow_info",

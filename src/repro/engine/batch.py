@@ -37,7 +37,7 @@ from .interpreter import GoldenTrace
 from .plan import plan_for, run_steps
 
 __all__ = ["BatchReplayer", "ReplayBatch", "PropagationSink",
-           "calibrate_lanes", "lanes_for_budget", "make_replayer"]
+           "lanes_for_budget", "make_replayer"]
 
 
 class PropagationSink(Protocol):
@@ -108,53 +108,6 @@ def lanes_for_budget(n_rows: int, itemsize: int, budget_bytes: int = 1 << 26,
     if n_experiments:
         lanes = min(lanes, int(n_experiments))
     return max(lanes, 1)
-
-
-def calibrate_lanes(replayer: "BatchReplayer", max_lanes: int,
-                    repeats: int = 2,
-                    candidates: tuple[float, ...] = (0.25, 0.5, 1.0)) -> int:
-    """Pick a lane width by timing short calibration replays.
-
-    ``lanes_for_budget`` sizes batches purely by memory; the throughput
-    optimum also depends on how the tape's working set interacts with the
-    cache hierarchy, which only a measurement can see.  This sweeps a few
-    fractions of ``max_lanes`` (the memory-budget cap — never exceeded),
-    replays a synthetic batch at a representative site for each width, and
-    returns the width with the best measured lanes-per-second.
-
-    Calibration replays real experiments but discards the results; lane
-    width never affects campaign numerics (experiments are independent
-    lanes), so the caller is free to use the tuned width for any chunking
-    that is not pinned by a checkpoint.
-    """
-    if max_lanes < 1:
-        raise ValueError("max_lanes must be at least 1")
-    if repeats < 1:
-        raise ValueError("repeats must be at least 1")
-    sites_all = replayer.program.site_indices
-    if sites_all.size == 0:
-        return max_lanes
-    # A site ~1/4 into the tape: long enough a sweep to be representative,
-    # cheap enough to keep calibration a fraction of one real chunk.
-    site = int(sites_all[sites_all.size // 4])
-    bits = replayer.program.bits_per_site
-    widths = sorted({max(1, int(max_lanes * f)) for f in candidates
-                     if 0 < f <= 1} | {max_lanes})
-    if len(widths) == 1:
-        return widths[0]
-    best_width, best_rate = widths[-1], -1.0
-    for width in widths:
-        lanes_sites = np.full(width, site, dtype=np.int64)
-        lanes_bits = np.arange(width, dtype=np.int64) % bits
-        elapsed = np.inf
-        for _ in range(repeats):
-            t0 = time.perf_counter()
-            replayer.replay(lanes_sites, lanes_bits)
-            elapsed = min(elapsed, time.perf_counter() - t0)
-        rate = width / elapsed if elapsed > 0 else np.inf
-        if rate > best_rate:
-            best_width, best_rate = width, rate
-    return best_width
 
 
 @dataclass(frozen=True)

@@ -5,8 +5,8 @@ from .executor import (
     CampaignExecutor,
     ProcessPoolCampaignExecutor,
     SerialExecutor,
-    ThreadPoolCampaignExecutor,
     default_workers,
+    pool_start_method,
 )
 from .partition import (
     chunk_balanced_by_cost,
@@ -55,7 +55,6 @@ __all__ = [
     "StderrProgress",
     "TaskError",
     "TaskTimeout",
-    "ThreadPoolCampaignExecutor",
     "WorkerDeath",
     "as_progress",
     "attach_arrays",
@@ -65,6 +64,7 @@ __all__ = [
     "chunk_for_workers",
     "default_workers",
     "owned_segment_names",
+    "pool_start_method",
     "publish_arrays",
     "spawn_generators",
     "trial_generators",

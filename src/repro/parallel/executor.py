@@ -1,25 +1,28 @@
-"""Campaign task execution: serial, thread-pool or process-pool.
+"""Campaign task execution: serial or process pool.
 
 The campaign drivers express work as a list of picklable *task descriptors*
 plus a module-level worker function; the executor runs them and returns the
-per-task results in task order.  Three implementations:
+per-task results in task order.  Two implementations:
 
 * :class:`SerialExecutor` — in-process loop.  Zero overhead, exact same
-  code path as parallel workers, the default everywhere (the batched
+  code path as pool workers, the default everywhere (the batched
   replayer already saturates one core with vectorised NumPy).
-* :class:`ThreadPoolCampaignExecutor` — ``concurrent.futures`` thread
-  pool.  Threads share the parent's workload objects directly (the
-  initializer runs once, in the parent), so startup cost is zero and
-  NumPy's wide array kernels overlap because they release the GIL.
 * :class:`ProcessPoolCampaignExecutor` — ``concurrent.futures`` process
-  pool.  Each worker runs an initializer once before any task — either
-  rebuilding the workload from its ``(kernel, params)`` spec or, on the
-  shared-memory plane (``repro.core.campaign``), attaching zero-copy to
-  the parent's published arrays — so tasks carry only index arrays and
-  results carry only reduced arrays (outcome grids, aggregator partials),
-  never multi-megabyte traces.
+  pool.  Each worker runs an initializer once before any task, so tasks
+  carry only index arrays and results carry only reduced arrays (outcome
+  grids, aggregator partials), never multi-megabyte traces.
 
-Both expose two consumption styles:
+Pool workers start by ``fork`` while the calling process runs one thread
+and from a ``forkserver`` otherwise (:func:`pool_start_method`).  A
+forked worker inherits the parent's memory, campaign workload and replay
+plan included, so its initializer receives them without any pickling;
+but it also inherits every lock that another thread held at the fork,
+and nothing in the child will ever release it.  Workers the forkserver
+starts share no such state: their initargs are pickled, so the campaign
+layer (``repro.core.campaign``) gives them a shared-memory handle or a
+workload spec instead of the workload itself.
+
+Both executors expose two consumption styles:
 
 * :meth:`run` — materialise all results in task order;
 * :meth:`run_stream` — yield ``(task_index, result)`` pairs as tasks
@@ -36,13 +39,10 @@ in :mod:`repro.parallel.resilience`.
 
 from __future__ import annotations
 
+import multiprocessing
 import os
-from concurrent.futures import (
-    Future,
-    ProcessPoolExecutor,
-    ThreadPoolExecutor,
-    as_completed,
-)
+import threading
+from concurrent.futures import Future, ProcessPoolExecutor, as_completed
 from typing import Any, Callable, Iterator, Protocol, Sequence
 
 from ..obs.metrics import absorb_result, inc as _inc, wrap_task
@@ -51,9 +51,30 @@ __all__ = [
     "CampaignExecutor",
     "ProcessPoolCampaignExecutor",
     "SerialExecutor",
-    "ThreadPoolCampaignExecutor",
     "default_workers",
+    "pool_start_method",
 ]
+
+#: Modules the forkserver imports once, so every worker it starts begins
+#: with the campaign code loaded.
+FORKSERVER_PRELOAD = ("repro.core.campaign",)
+
+#: Bound on :meth:`ProcessPoolCampaignExecutor.kill`'s wait for the pool's
+#: manager thread; it exits within milliseconds of its workers dying.
+KILL_JOIN_S = 5.0
+
+
+def pool_start_method() -> str:
+    """How to start pool workers: ``fork`` or ``forkserver``.
+
+    ``fork`` while this process runs one thread: nothing can hold a lock
+    at the fork, and workers inherit the parent's state for free.
+    ``forkserver`` otherwise (a threaded server, an embedding
+    application): a forked worker could inherit a lock another thread
+    held, such as the replay-plan lock or the metrics registry lock, and
+    block on it forever.
+    """
+    return "fork" if threading.active_count() == 1 else "forkserver"
 
 
 def default_workers() -> int:
@@ -101,84 +122,24 @@ class SerialExecutor:
         return None
 
 
-class ThreadPoolCampaignExecutor:
-    """Thread-pool execution sharing the parent's workload in-process.
-
-    The initializer runs *once*, in the calling thread — worker threads
-    read the same module globals, so there is no per-worker workload
-    rebuild, no pickling, and no extra copy of the golden trace at all.
-    Replay batches overlap because NumPy releases the GIL on wide array
-    operations; task functions must therefore be thread-safe, which
-    campaign tasks are (they only read the shared workload/replayer and
-    allocate their own batch arrays).
-
-    Metrics flow straight into the process-global registry (no
-    ``wrap_task`` shipping), which is why
-    :class:`~repro.obs.metrics.MetricsRegistry` writes are lock-guarded.
-    """
-
-    def __init__(
-        self,
-        initializer: Callable[..., None] | None = None,
-        initargs: tuple = (),
-        n_workers: int | None = None,
-    ):
-        if n_workers is not None and n_workers < 1:
-            raise ValueError("need at least one worker")
-        self.n_workers = n_workers or default_workers()
-        if initializer is not None:
-            initializer(*initargs)
-        self._pool = ThreadPoolExecutor(
-            max_workers=self.n_workers,
-            thread_name_prefix="repro-campaign",
-        )
-        self._shut = False
-
-    def run(self, fn: Callable[[Any], Any], tasks: Sequence[Any]) -> list[Any]:
-        _inc("executor.tasks_dispatched", len(tasks))
-        results = list(self._pool.map(fn, tasks))
-        _inc("executor.tasks_completed", len(tasks))
-        return results
-
-    def run_stream(self, fn: Callable[[Any], Any],
-                   tasks: Sequence[Any]) -> Iterator[tuple[int, Any]]:
-        """Yield ``(task_index, result)`` in completion order."""
-        futures = {}
-        for i, task in enumerate(tasks):
-            _inc("executor.tasks_dispatched")
-            futures[self._pool.submit(fn, task)] = i
-        for fut in as_completed(futures):
-            result = fut.result()
-            _inc("executor.tasks_completed")
-            yield futures[fut], result
-
-    def shutdown(self) -> None:
-        """Release the pool.  Idempotent."""
-        if self._shut:
-            return
-        self._shut = True
-        self._pool.shutdown(wait=True)
-
-    def __enter__(self) -> "ThreadPoolCampaignExecutor":
-        return self
-
-    def __exit__(self, *exc) -> None:
-        self.shutdown()
-
-
 class ProcessPoolCampaignExecutor:
     """Process-pool execution with per-worker workload initialisation.
 
     Parameters
     ----------
     initializer / initargs:
-        Run once in every worker before any task (rebuilds the workload
-        into a module global; see ``repro.core.campaign``).
+        Run once in every worker before any task (points the campaign's
+        module globals at its workload; see ``repro.core.campaign``).
+        Under ``fork`` the workers receive them unpickled; under
+        ``forkserver`` they must pickle.
     n_workers:
         Pool size; defaults to ``cpu_count - 1``.
     chunksize:
         Tasks dispatched per IPC round-trip (``run`` only; streaming
         submits tasks individually).
+    start_method:
+        ``"fork"`` or ``"forkserver"``; defaults to
+        :func:`pool_start_method` evaluated now.
     """
 
     def __init__(
@@ -187,6 +148,7 @@ class ProcessPoolCampaignExecutor:
         initargs: tuple = (),
         n_workers: int | None = None,
         chunksize: int = 1,
+        start_method: str | None = None,
     ):
         if n_workers is not None and n_workers < 1:
             raise ValueError("need at least one worker")
@@ -194,8 +156,13 @@ class ProcessPoolCampaignExecutor:
             raise ValueError("chunksize must be at least 1")
         self.n_workers = n_workers or default_workers()
         self.chunksize = chunksize
+        self.start_method = start_method or pool_start_method()
+        context = multiprocessing.get_context(self.start_method)
+        if self.start_method == "forkserver":
+            context.set_forkserver_preload(list(FORKSERVER_PRELOAD))
         self._pool = ProcessPoolExecutor(
             max_workers=self.n_workers,
+            mp_context=context,
             initializer=initializer,
             initargs=initargs,
         )
@@ -246,17 +213,23 @@ class ProcessPoolCampaignExecutor:
 
         Used by the resilience layer to reclaim a pool with a hung worker
         (a plain ``shutdown`` would block on the stuck task forever).
-        Idempotent; the executor is unusable afterwards.
+        Waits up to :data:`KILL_JOIN_S` for the pool's manager thread to
+        notice the dead workers and exit, so a pool built next in a
+        one-thread process forks again.  Idempotent; the executor is
+        unusable afterwards.
         """
         if self._shut:
             return
         self._shut = True
         processes = getattr(self._pool, "_processes", None) or {}
         procs = [processes[pid] for pid in list(processes)]
+        manager = getattr(self._pool, "_executor_manager_thread", None)
         self._pool.shutdown(wait=False, cancel_futures=True)
         for proc in procs:
             if proc.is_alive():
                 proc.terminate()
+        if manager is not None:
+            manager.join(timeout=KILL_JOIN_S)
 
     def __enter__(self) -> "ProcessPoolCampaignExecutor":
         return self

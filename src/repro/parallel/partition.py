@@ -13,7 +13,7 @@ ordered index ranges:
 * :func:`chunk_for_workers` — :func:`chunk_by_size` with the chunk width
   shrunk so every pool worker gets several chunks; a memory-budget chunk
   size can otherwise leave all the work in one or two chunks and most of
-  the pool idle.
+  the pool idle.  It never shrinks below :data:`MIN_POOL_CHUNK` lanes.
 * :func:`chunk_balanced_by_cost` — contiguous chunks with approximately
   equal *cost*; exhaustive replay cost of a site block is proportional to
   the tape length remaining after the block start, so early blocks are more
@@ -24,8 +24,16 @@ from __future__ import annotations
 
 import numpy as np
 
-__all__ = ["chunk_evenly", "chunk_by_size", "chunk_balanced_by_cost",
-           "chunk_for_workers"]
+__all__ = ["MIN_POOL_CHUNK", "chunk_evenly", "chunk_by_size",
+           "chunk_balanced_by_cost", "chunk_for_workers"]
+
+#: Narrowest chunk :func:`chunk_for_workers` cuts for load balance.  A
+#: replay-and-classify call costs about the same at any narrow width
+#: (fft n=64: 3.1 ms at 32 lanes, 5.0 ms at 256, 13.1 ms at 1024, i.e.
+#: 97, 19 and 13 us per lane; cg-dyn n=8: 11.6 ms at 32, 23.7 ms at
+#: 1024), so cutting below this pays that cost again per chunk for
+#: balance a pool of a few workers does not need.
+MIN_POOL_CHUNK = 1024
 
 
 def chunk_evenly(n_items: int, n_chunks: int) -> list[np.ndarray]:
@@ -58,7 +66,8 @@ def chunk_for_workers(indices: np.ndarray, chunk_size: int,
     pool is in play, the effective chunk width is additionally capped so
     each worker sees at least ``min_chunks_per_worker`` chunks — early
     chunks of an exhaustive campaign replay much longer tape suffixes than
-    late ones, and with one chunk per worker the stragglers dominate.
+    late ones, and with one chunk per worker the stragglers dominate —
+    but never below ``min(MIN_POOL_CHUNK, chunk_size)``.
     Chunking never changes campaign results (chunk merges are commutative
     over the sorted experiment order), only the dispatch granularity.
     """
@@ -67,7 +76,7 @@ def chunk_for_workers(indices: np.ndarray, chunk_size: int,
     indices = np.asarray(indices, dtype=np.int64)
     if n_workers and n_workers > 1 and indices.size:
         target = -(-indices.size // (n_workers * min_chunks_per_worker))
-        chunk_size = max(1, min(chunk_size, target))
+        chunk_size = max(1, min(chunk_size, max(target, MIN_POOL_CHUNK)))
     return chunk_by_size(indices, chunk_size)
 
 

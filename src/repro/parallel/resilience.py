@@ -278,6 +278,13 @@ class ResilientExecutor:
     :attr:`health` record accumulated across runs.  Tasks must be pure
     (retries re-run them) and the worker function must be a module-level
     picklable callable, exactly as for the plain pool executor.
+
+    ``initializer`` / ``initargs`` set up the serial fallback in this
+    process, and the workers of every pool unless ``pool_factory`` (a
+    zero-argument callable returning a
+    :class:`~repro.parallel.executor.ProcessPoolCampaignExecutor`) builds
+    the pools instead.  Each build, rebuilds included, is a new pool, so
+    :func:`~repro.parallel.executor.pool_start_method` is applied afresh.
     """
 
     def __init__(
@@ -286,7 +293,7 @@ class ResilientExecutor:
         initargs: tuple = (),
         n_workers: int | None = None,
         policy: RetryPolicy | None = None,
-        pool_factory: Callable[..., ProcessPoolCampaignExecutor] | None = None,
+        pool_factory: Callable[[], ProcessPoolCampaignExecutor] | None = None,
     ):
         if n_workers is not None and n_workers < 1:
             raise ValueError("need at least one worker")
@@ -295,12 +302,10 @@ class ResilientExecutor:
         self.health = CampaignHealth()
         self._initializer = initializer
         self._initargs = initargs
-        # Every pool rebuild re-invokes the factory with the SAME initargs;
-        # state referenced by them (e.g. a shared-memory plane handle) must
-        # stay valid for the executor's whole lifetime — which is why the
-        # campaign layer keeps its shm segment parent-owned and only closes
-        # it after shutdown().
-        self._pool_factory = pool_factory or ProcessPoolCampaignExecutor
+        self._pool_factory = pool_factory or (
+            lambda: ProcessPoolCampaignExecutor(
+                initializer=initializer, initargs=initargs,
+                n_workers=self.n_workers))
         self._pool: ProcessPoolCampaignExecutor | None = None
         self._serial: SerialExecutor | None = None
         self._shut = False
@@ -408,11 +413,7 @@ class ResilientExecutor:
 
     def _ensure_pool(self) -> ProcessPoolCampaignExecutor:
         if self._pool is None:
-            self._pool = self._pool_factory(
-                initializer=self._initializer,
-                initargs=self._initargs,
-                n_workers=self.n_workers,
-            )
+            self._pool = self._pool_factory()
         return self._pool
 
     def _promote_waiting(self, todo, waiting) -> None:

@@ -65,7 +65,7 @@ import numpy as np
 
 from .. import kernels
 from ..core.boundary import exhaustive_boundary
-from ..core.campaign import CampaignConfig, run_campaign
+from ..core.campaign import EXECUTOR_KINDS, CampaignConfig, run_campaign
 from ..core.checkpoint import CampaignCheckpoint
 from ..core.prediction import BoundaryPredictor
 from ..core.sampling import ProgressiveConfig
@@ -116,7 +116,7 @@ JOB_MODES = {
 }
 
 _COMMON_OPTIONS = frozenset({
-    "n_workers", "executor", "batch_budget", "autotune",
+    "n_workers", "executor", "batch_budget",
     "max_retries", "task_timeout",
 })
 _MODE_OPTIONS = {
@@ -229,6 +229,10 @@ class JobRequest:
             raise ValueError(
                 f"unknown option(s) {unknown} for mode {self.mode!r}; "
                 f"allowed: {sorted(allowed)}")
+        executor = self.options.get("executor", "auto")
+        if executor not in EXECUTOR_KINDS:
+            raise ValueError(f"unknown executor {executor!r}; "
+                             f"expected one of {EXECUTOR_KINDS}")
         if self.mode == "sample":
             rate = self.options.get("sampling_rate")
             if rate is None or not 0 < float(rate) <= 1:
@@ -884,7 +888,6 @@ class JobManager:
         common = dict(
             n_workers=n_workers,
             executor=opts.get("executor", "auto"),
-            autotune=bool(opts.get("autotune", False)),
             progress=progress,
             retry_policy=retry_policy,
         )

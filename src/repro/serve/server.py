@@ -43,6 +43,7 @@ from __future__ import annotations
 import json
 import os
 import socket
+import threading
 import time
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 from pathlib import Path
@@ -91,13 +92,35 @@ class ServiceServer(ThreadingHTTPServer):
 
     def __init__(self, address, manager: JobManager, cache: ArtifactCache,
                  quiet: bool = True, dist_plane=None,
-                 reuse_port: bool = False):
+                 reuse_port: bool = False, metrics_was_enabled: bool = False):
         self.manager = manager
         self.cache = cache
         self.quiet = quiet
         self.dist_plane = dist_plane
         self.reuse_port = reuse_port
+        #: METRICS.enabled before create_server turned it on; restored on
+        #: close()/drain()
+        self.metrics_was_enabled = metrics_was_enabled
+        self._loop_lock = threading.Lock()
+        self._loop_started = False
+        self._stopped = False
         super().__init__(address, _Handler)
+
+    def serve_forever(self, poll_interval: float = 0.5) -> None:
+        with self._loop_lock:
+            if self._stopped:
+                return
+            self._loop_started = True
+        super().serve_forever(poll_interval)
+
+    def _stop_loop(self) -> None:
+        """Stop the accept loop; ``shutdown()`` would wait forever for a
+        loop that never started."""
+        with self._loop_lock:
+            self._stopped = True
+            started = self._loop_started
+        if started:
+            self.shutdown()
 
     def server_bind(self) -> None:
         if self.reuse_port:
@@ -114,11 +137,12 @@ class ServiceServer(ThreadingHTTPServer):
 
     def close(self) -> None:
         """Stop accepting requests and shut the job worker pool down."""
-        self.shutdown()
+        self._stop_loop()
         self.server_close()
         self.manager.close(wait=False)
         if self.dist_plane is not None:
             self.dist_plane.close()
+        METRICS.enabled = self.metrics_was_enabled
 
     def drain(self) -> None:
         """Graceful drain (SIGTERM/SIGINT path): finish what's in flight.
@@ -131,11 +155,12 @@ class ServiceServer(ThreadingHTTPServer):
         distributed plane.  Contrast :meth:`close`, which abandons
         running work to the next process's recovery pass.
         """
-        self.shutdown()
+        self._stop_loop()
         self.server_close()  # joins in-flight handler threads
         self.manager.drain()
         if self.dist_plane is not None:
             self.dist_plane.close()
+        METRICS.enabled = self.metrics_was_enabled
 
 
 def create_server(root: str | Path, host: str = "127.0.0.1", port: int = 0,
@@ -150,7 +175,8 @@ def create_server(root: str | Path, host: str = "127.0.0.1", port: int = 0,
     ``server.port``).  ``recover=True`` adopts jobs any replica left
     unfinished under this root; their campaigns resume from checkpoints.
     The process-global metrics registry is enabled so ``/metrics``
-    reports request/query/campaign counters.  ``dist_port`` additionally
+    reports request/query/campaign counters, until ``close()`` or
+    ``drain()`` restores its previous state.  ``dist_port`` additionally
     opens a distributed campaign plane on that port (``0`` = ephemeral;
     read it back from ``server.dist_plane.port``) so jobs may request
     ``options.executor="dist"``; the server owns the plane and closes it
@@ -162,6 +188,7 @@ def create_server(root: str | Path, host: str = "127.0.0.1", port: int = 0,
     ``/healthz``, and ``claim_ttl_s`` tunes how long a crashed replica's
     claims stay unstealable.
     """
+    metrics_was_enabled = METRICS.enabled
     METRICS.enabled = True
     dist_plane = None
     if dist_port is not None:
@@ -175,7 +202,8 @@ def create_server(root: str | Path, host: str = "127.0.0.1", port: int = 0,
     cache_kw = {} if cache_capacity is None else {"capacity": cache_capacity}
     cache = ArtifactCache(manager.boundaries_dir, **cache_kw)
     return ServiceServer((host, port), manager, cache, quiet=quiet,
-                         dist_plane=dist_plane, reuse_port=reuse_port)
+                         dist_plane=dist_plane, reuse_port=reuse_port,
+                         metrics_was_enabled=metrics_was_enabled)
 
 
 class _Handler(BaseHTTPRequestHandler):

@@ -9,7 +9,24 @@ from repro import core
 from repro.cfg.workload import CfgWorkload
 from repro.core.checkpoint import CampaignCheckpoint
 
+from tests.helpers import extra_thread, run_fresh
+
 from .conftest import build_countdown
+
+SPECLESS_FORK = """
+import threading
+import numpy as np
+from repro import core
+from repro.cfg.workload import CfgWorkload
+from tests.cfg.conftest import build_countdown
+assert threading.active_count() == 1
+bare = CfgWorkload(program=build_countdown(), tolerance=0.5,
+                   description="spec-less countdown")
+serial = core.run_campaign(bare, mode="exhaustive").exhaustive
+pooled = core.run_campaign(bare, mode="exhaustive", n_workers=2).exhaustive
+np.testing.assert_array_equal(pooled.outcomes, serial.outcomes)
+np.testing.assert_array_equal(pooled.injected_errors, serial.injected_errors)
+"""
 
 
 class TestDynamicCgTaxonomy:
@@ -42,23 +59,27 @@ class TestLuPivot:
 
 
 class TestExecutorParity:
-    @pytest.mark.parametrize("executor", ["threads", "processes"])
+    @pytest.mark.parametrize("n_workers", [2], ids=["processes"])
     def test_exhaustive_bit_identical(self, cg_dyn_tiny, cg_dyn_tiny_golden,
-                                      executor):
+                                      n_workers):
         result = core.run_campaign(
-            cg_dyn_tiny, mode="exhaustive", executor=executor,
-            n_workers=2).exhaustive
+            cg_dyn_tiny, mode="exhaustive", n_workers=n_workers).exhaustive
         np.testing.assert_array_equal(result.outcomes,
                                       cg_dyn_tiny_golden.outcomes)
         np.testing.assert_array_equal(result.injected_errors,
                                       cg_dyn_tiny_golden.injected_errors)
 
     def test_processes_need_a_spec(self):
+        """Workers the forkserver starts rebuild a CFG workload from its
+        spec, so a spec-less one cannot run on them."""
         bare = CfgWorkload(program=build_countdown(), tolerance=0.5,
                            description="spec-less countdown")
-        with pytest.raises(ValueError, match="spec"):
-            core.run_campaign(bare, mode="exhaustive", executor="processes",
-                              n_workers=2)
+        with extra_thread(), pytest.raises(ValueError, match="spec"):
+            core.run_campaign(bare, mode="exhaustive", n_workers=2)
+
+    def test_specless_runs_on_forked_workers(self):
+        """Forked workers inherit the workload itself: no spec needed."""
+        run_fresh(SPECLESS_FORK)
 
 
 class TestBackendValidation:

@@ -29,11 +29,12 @@ def tape_golden(tape_wl):
 
 
 class TestExhaustiveParity:
-    @pytest.mark.parametrize("executor", ["serial", "threads", "processes"])
-    def test_outcomes_bit_identical(self, lowered_wl, tape_golden, executor):
+    @pytest.mark.parametrize("n_workers", [None, 2],
+                             ids=["serial", "processes"])
+    def test_outcomes_bit_identical(self, lowered_wl, tape_golden,
+                                    n_workers):
         result = core.run_campaign(
-            lowered_wl, mode="exhaustive", executor=executor,
-            n_workers=2).exhaustive
+            lowered_wl, mode="exhaustive", n_workers=n_workers).exhaustive
         np.testing.assert_array_equal(result.outcomes, tape_golden.outcomes)
         np.testing.assert_array_equal(result.injected_errors,
                                       tape_golden.injected_errors)

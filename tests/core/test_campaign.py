@@ -140,9 +140,10 @@ class TestInferBoundary:
 
 class TestSpeclessWorkloadsRunParallel:
     def test_specless_workload_runs_on_every_plane(self, cg_tiny, rng):
-        """The shm plane ships the tape + golden trace themselves, so a
-        workload without (kernel, params) provenance — previously a hard
-        error — now runs on every executor, bit-identically to serial."""
+        """Forked workers inherit the tape and the shm plane ships it, so a
+        workload without (kernel, params) provenance runs on process
+        workers, bit-identically to serial (the forkserver case is in
+        test_start_methods.py)."""
         import copy
 
         bare = copy.copy(cg_tiny)
@@ -150,12 +151,11 @@ class TestSpeclessWorkloadsRunParallel:
         bare.program.spec = None
         flat = uniform_sample(SampleSpace.of_program(bare.program), 50, rng)
         serial = run_campaign(bare, mode="sample", experiments=flat).sampled
-        for executor in ("threads", "processes"):
-            result = run_campaign(bare, mode="sample", experiments=flat,
-                                  n_workers=2, executor=executor).sampled
-            assert np.array_equal(result.outcomes, serial.outcomes)
-            assert np.array_equal(result.injected_errors,
-                                  serial.injected_errors)
+        result = run_campaign(bare, mode="sample", experiments=flat,
+                              n_workers=2).sampled
+        assert np.array_equal(result.outcomes, serial.outcomes)
+        assert np.array_equal(result.injected_errors,
+                              serial.injected_errors)
 
 
 class TestWorkerToleranceConsistency:

@@ -1,0 +1,231 @@
+"""Pool workers start by fork or from a forkserver; the numbers never show it.
+
+Which start method a pool uses follows from how many threads the process
+runs (:func:`repro.parallel.executor.pool_start_method`), so each case
+sets that up itself: the fork case runs in a fresh interpreter, whose
+only thread is its main thread, and the forkserver case keeps a second
+thread alive around its campaigns.  Outcomes, injected errors and
+boundaries must be bit-identical to serial runs, as they are for the
+distributed plane, on the straight-line kernels, a dynamic CFG kernel
+and a lowered CFG program.
+"""
+
+from __future__ import annotations
+
+import copy
+import multiprocessing
+import os
+import signal
+import threading
+
+import numpy as np
+import pytest
+
+from repro import kernels
+from repro.core import campaign as campaign_mod
+from repro.core import run_campaign
+from repro.core.checkpoint import CampaignCheckpoint
+from repro.dist import DistConfig, DistPlane, NodeAgent
+from repro.parallel.executor import pool_start_method
+from repro.parallel.shm import owned_segment_names
+
+from tests.helpers import extra_thread, run_fresh
+
+#: every workload family the planes must agree on: name -> (kernel, params)
+WORKLOADS = {
+    "cg": ("cg", {"n": 8, "iters": 8}),
+    "lu": ("lu", {"n": 8, "block": 4}),
+    "fft": ("fft", {"n": 16}),
+    "cg-dyn": ("cg-dyn", {"n": 6}),
+    "cfg-lowered": ("cfg-lowered",
+                    {"kernel": "cg", "params": {"n": 4, "iters": 3}}),
+}
+
+POOL = {"n_workers": 2}
+
+
+def build(name: str):
+    kernel, params = WORKLOADS[name]
+    return kernels.build(kernel, **params)
+
+
+def campaign_arrays(wl, **config) -> dict[str, np.ndarray]:
+    """Exhaustive grids plus a Monte-Carlo sample and its boundary."""
+    golden = run_campaign(wl, mode="exhaustive", **config).exhaustive
+    mc = run_campaign(wl, mode="monte_carlo", sampling_rate=0.2, seed=5,
+                      **config)
+    return {"outcomes": golden.outcomes,
+            "injected": golden.injected_errors,
+            "mc_outcomes": mc.sampled.outcomes,
+            "thresholds": mc.boundary.thresholds,
+            "exact": mc.boundary.exact}
+
+
+def assert_same(got: dict, want: dict) -> None:
+    assert sorted(got) == sorted(want)
+    for key in want:
+        np.testing.assert_array_equal(got[key], want[key], err_msg=key)
+
+
+FORK_SCRIPT = """
+import sys, threading
+import numpy as np
+from repro.parallel.executor import pool_start_method
+from tests.core.test_start_methods import POOL, WORKLOADS, build, \\
+    campaign_arrays
+assert threading.active_count() == 1 and pool_start_method() == "fork"
+out = {}
+for name in WORKLOADS:
+    for key, arr in campaign_arrays(build(name), **POOL).items():
+        out[f"{name}/{key}"] = arr
+np.savez(sys.argv[1], **out)
+"""
+
+
+@pytest.fixture(scope="module")
+def serial():
+    return {name: campaign_arrays(build(name)) for name in WORKLOADS}
+
+
+@pytest.fixture(scope="module")
+def forked(tmp_path_factory):
+    path = tmp_path_factory.mktemp("fork") / "fork.npz"
+    run_fresh(FORK_SCRIPT, str(path))
+    with np.load(path) as data:
+        return {name: {key.split("/", 1)[1]: data[key] for key in data.files
+                       if key.startswith(f"{name}/")}
+                for name in WORKLOADS}
+
+
+@pytest.fixture(scope="module")
+def dist_plane():
+    with DistPlane(DistConfig()) as plane:
+        agent = NodeAgent(plane.host, plane.port, n_workers=2)
+        thread = threading.Thread(target=agent.run, daemon=True)
+        thread.start()
+        assert plane.wait_for_nodes(1, timeout=30.0)
+        yield plane
+    thread.join(timeout=10)
+    assert not thread.is_alive()
+
+
+@pytest.mark.parametrize("name", list(WORKLOADS))
+class TestPlaneParity:
+    def test_fork_matches_serial(self, name, serial, forked):
+        assert_same(forked[name], serial[name])
+
+    def test_forkserver_matches_serial(self, name, serial):
+        wl = build(name)
+        with extra_thread():
+            assert pool_start_method() == "forkserver"
+            got = campaign_arrays(wl, **POOL)
+        assert_same(got, serial[name])
+        assert owned_segment_names() == []
+
+    def test_dist_matches_serial(self, name, serial, dist_plane):
+        got = campaign_arrays(build(name), executor="dist", dist=dist_plane)
+        assert_same(got, serial[name])
+
+
+class TestSpeclessTape:
+    def test_runs_under_forkserver(self, cg_tiny):
+        bare = copy.copy(cg_tiny)
+        bare.program = copy.copy(cg_tiny.program)
+        bare.program.spec = None
+        flat = np.arange(0, 2000, 3)
+        want = run_campaign(bare, mode="sample", experiments=flat).sampled
+        with extra_thread():
+            got = run_campaign(bare, mode="sample", experiments=flat,
+                               **POOL).sampled
+        np.testing.assert_array_equal(got.outcomes, want.outcomes)
+        np.testing.assert_array_equal(got.injected_errors,
+                                      want.injected_errors)
+        assert owned_segment_names() == []
+
+
+#: marker file of :func:`_outcomes_killing_once`; set by RECOVERY_SCRIPT
+KILL_MARKER = None
+_TASK_OUTCOMES = campaign_mod._task_outcomes
+
+
+def _outcomes_killing_once(chunk):
+    """Phase-A task whose first call in a pool worker kills that worker."""
+    if multiprocessing.parent_process() is not None \
+            and not os.path.exists(KILL_MARKER):
+        open(KILL_MARKER, "w").close()
+        os.kill(os.getpid(), signal.SIGKILL)
+    return _TASK_OUTCOMES(chunk)
+
+
+RECOVERY_SCRIPT = """
+import sys, threading
+import numpy as np
+from repro import core
+from repro.cfg.workload import CfgWorkload
+from repro.core import campaign
+from repro.parallel.resilience import RetryPolicy
+from tests.cfg.conftest import build_countdown
+from tests.core import test_start_methods as here
+bare = CfgWorkload(program=build_countdown(), tolerance=0.5,
+                   description="spec-less countdown")
+serial = core.run_campaign(bare, mode="exhaustive").exhaustive
+here.KILL_MARKER = sys.argv[1]
+campaign._task_outcomes = here._outcomes_killing_once
+assert threading.active_count() == 1
+result = core.run_campaign(bare, mode="exhaustive", n_workers=2,
+                           retry_policy=RetryPolicy(max_retries=2))
+health = result.health
+assert (health.worker_deaths, health.pool_rebuilds) == (1, 1), health
+assert not health.degraded_to_serial
+np.testing.assert_array_equal(result.exhaustive.outcomes, serial.outcomes)
+np.testing.assert_array_equal(result.exhaustive.injected_errors,
+                              serial.injected_errors)
+"""
+
+
+class TestRecovery:
+    def test_rebuilt_pool_forks_again(self, tmp_path):
+        """A worker death in a one-thread campaign rebuilds the pool by
+        ``fork``: a spec-less CFG workload, which the forkserver cannot
+        rebuild, finishes bit-identical to serial."""
+        run_fresh(RECOVERY_SCRIPT, str(tmp_path / "killed"))
+        assert (tmp_path / "killed").exists()
+
+
+class _CountingPool(campaign_mod.ProcessPoolCampaignExecutor):
+    built = 0
+
+    def __init__(self, *args, **kwargs):
+        type(self).built += 1
+        super().__init__(*args, **kwargs)
+
+
+class TestOnePoolPerCampaign:
+    @pytest.mark.parametrize("config", [
+        {"mode": "monte_carlo", "sampling_rate": 0.05, "seed": 3},
+        {"mode": "adaptive", "seed": 1},
+    ], ids=["monte_carlo", "adaptive"])
+    def test_campaign_builds_one_pool(self, cg_tiny, monkeypatch, config):
+        monkeypatch.setattr(_CountingPool, "built", 0)
+        monkeypatch.setattr(campaign_mod, "ProcessPoolCampaignExecutor",
+                            _CountingPool)
+        result = run_campaign(cg_tiny, n_workers=2, **config)
+        if config["mode"] == "adaptive":
+            assert result.rounds > 1
+        assert _CountingPool.built == 1
+
+    def test_resumed_campaign_builds_no_pool(self, cg_tiny, monkeypatch,
+                                             tmp_path):
+        """The pool starts with the first pending chunk, so a campaign
+        whose checkpoint holds every chunk starts none."""
+        cp = CampaignCheckpoint(tmp_path / "cp", cg_tiny)
+        first = run_campaign(cg_tiny, mode="exhaustive", checkpoint=cp)
+        monkeypatch.setattr(_CountingPool, "built", 0)
+        monkeypatch.setattr(campaign_mod, "ProcessPoolCampaignExecutor",
+                            _CountingPool)
+        again = run_campaign(cg_tiny, mode="exhaustive", n_workers=2,
+                             checkpoint=CampaignCheckpoint(
+                                 tmp_path / "cp", cg_tiny, resume=True))
+        assert _CountingPool.built == 0
+        np.testing.assert_array_equal(again.exhaustive.outcomes,
+                                      first.exhaustive.outcomes)

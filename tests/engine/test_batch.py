@@ -269,34 +269,3 @@ class TestUncorruptedLaneBitExactness:
         batch = rep.replay(np.array([site]), np.array([20]))
         _, out_ref, _ = scalar_injected_run(prog, site, 20)
         assert np.array_equal(batch.outputs[:, 0], out_ref)
-
-
-class TestCalibrateLanes:
-    def test_never_exceeds_budget_cap(self, toy_replayer):
-        from repro.engine import calibrate_lanes
-
-        width = calibrate_lanes(toy_replayer, 64)
-        assert 1 <= width <= 64
-
-    def test_single_candidate_short_circuits(self, toy_replayer):
-        from repro.engine import calibrate_lanes
-
-        assert calibrate_lanes(toy_replayer, 1) == 1
-
-    def test_invalid_args_rejected(self, toy_replayer):
-        from repro.engine import calibrate_lanes
-
-        with pytest.raises(ValueError):
-            calibrate_lanes(toy_replayer, 0)
-        with pytest.raises(ValueError):
-            calibrate_lanes(toy_replayer, 8, repeats=0)
-
-    def test_calibration_does_not_perturb_results(self, toy_replayer):
-        from repro.engine import calibrate_lanes
-
-        sites = np.array([3, 4], dtype=np.int64)
-        bits = np.array([0, 7], dtype=np.int64)
-        before = toy_replayer.replay(sites, bits).outputs.copy()
-        calibrate_lanes(toy_replayer, 32)
-        after = toy_replayer.replay(sites, bits).outputs
-        np.testing.assert_array_equal(before, after)

@@ -395,12 +395,12 @@ class TestCampaignParity:
         return (np.concatenate(outcomes).reshape(space.n_sites, space.bits),
                 np.concatenate(inj).reshape(space.n_sites, space.bits))
 
-    @pytest.mark.parametrize("executor", ["serial", "threads", "processes"])
-    def test_exhaustive_backend_parity(self, cg_tiny, executor):
+    @pytest.mark.parametrize("n_workers", [None, 2],
+                             ids=["serial", "processes"])
+    def test_exhaustive_backend_parity(self, cg_tiny, n_workers):
         from repro.core import run_campaign
 
-        n_workers = 2 if executor != "serial" else None
-        got = run_campaign(cg_tiny, mode="exhaustive", executor=executor,
+        got = run_campaign(cg_tiny, mode="exhaustive",
                            n_workers=n_workers).exhaustive
         outcomes, inj = self._identity_map_outcomes(cg_tiny)
         assert np.array_equal(got.outcomes, outcomes)
@@ -507,10 +507,9 @@ class TestSlotPlan:
     def test_one_plan_build_per_adaptive_campaign(self):
         from repro.core import run_campaign
 
-        for executor in ("serial", "threads"):
+        for n_workers in (None, 2):
             wl = kernels.build("cg", n=8, iters=8)
             result = run_campaign(wl, mode="adaptive", seed=1,
-                                  executor=executor, n_workers=2,
-                                  metrics=True)
+                                  n_workers=n_workers, metrics=True)
             assert result.rounds > 1
             assert result.metrics["counters"]["replay.plans"] == 1

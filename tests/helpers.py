@@ -1,11 +1,24 @@
-"""Test-only reference implementations.
+"""Test-only reference implementations and process set-ups.
 
 ``scalar_injected_run`` re-executes a tape one instruction at a time with a
 single bit flip applied — an independent oracle for the vectorised batch
 replayer (different code path, same required semantics).
+
+Pool workers start by ``fork`` only in a process that runs one thread
+(:func:`repro.parallel.executor.pool_start_method`), and pytest may keep
+threads of earlier tests alive.  :func:`run_fresh` runs code in a new
+interpreter, where pools fork; :func:`extra_thread` keeps a second thread
+alive, so pools start from the forkserver.
 """
 
 from __future__ import annotations
+
+import os
+import subprocess
+import sys
+import threading
+from contextlib import contextmanager
+from pathlib import Path
 
 import numpy as np
 
@@ -94,3 +107,34 @@ def _evaluate(program, inputs, consts, site, bit, golden_guards,
                 values[i] = (flip_bits(values[i:i + 1], bit)[0]
                              if value is None else value)
     return values, diverged_at
+
+
+ROOT = Path(__file__).resolve().parents[1]
+
+
+def run_fresh(code: str, *args: str,
+              timeout: float = 300) -> subprocess.CompletedProcess:
+    """Run ``code`` in a new interpreter with ``src`` and the repository
+    root importable; raises if it exits non-zero."""
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        [str(ROOT / "src"), str(ROOT)]
+        + ([env["PYTHONPATH"]] if env.get("PYTHONPATH") else []))
+    proc = subprocess.run([sys.executable, "-c", code, *args], env=env,
+                          cwd=ROOT, capture_output=True, text=True,
+                          timeout=timeout)
+    assert proc.returncode == 0, proc.stderr
+    return proc
+
+
+@contextmanager
+def extra_thread():
+    """Keep a second thread alive for the duration of the block."""
+    stop = threading.Event()
+    thread = threading.Thread(target=stop.wait, name="test-extra-thread")
+    thread.start()
+    try:
+        yield
+    finally:
+        stop.set()
+        thread.join(timeout=10)

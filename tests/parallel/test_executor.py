@@ -7,7 +7,10 @@ from repro.parallel.executor import (
     ProcessPoolCampaignExecutor,
     SerialExecutor,
     default_workers,
+    pool_start_method,
 )
+
+from tests.helpers import extra_thread, run_fresh
 
 _STATE = {}
 
@@ -22,6 +25,25 @@ def _square_plus_state(x):
 
 def _square(x):
     return x * x
+
+
+KILL_SCRIPT = """
+import os, threading
+from concurrent.futures.process import BrokenProcessPool
+from repro.parallel.executor import ProcessPoolCampaignExecutor, \\
+    pool_start_method
+pool = ProcessPoolCampaignExecutor(n_workers=2)
+assert pool.start_method == "fork"
+try:
+    pool.run(os._exit, [1])
+except BrokenProcessPool:
+    pass
+else:
+    raise AssertionError("the worker did not die")
+pool.kill()
+assert threading.active_count() == 1, threading.enumerate()
+assert pool_start_method() == "fork"
+"""
 
 
 class TestSerialExecutor:
@@ -98,61 +120,24 @@ class TestDefaults:
         assert default_workers() >= 1
 
 
-class TestThreadPoolExecutor:
-    def test_matches_serial(self):
-        from repro.parallel.executor import ThreadPoolCampaignExecutor
+class TestStartMethod:
+    def test_one_thread_forks(self):
+        run_fresh("from repro.parallel.executor import pool_start_method\n"
+                  "assert pool_start_method() == 'fork'")
 
-        ex = ThreadPoolCampaignExecutor(n_workers=2)
-        try:
-            assert ex.run(_square, [1, 2, 3, 4]) == [1, 4, 9, 16]
-        finally:
-            ex.shutdown()
+    def test_extra_thread_means_forkserver(self):
+        with extra_thread():
+            assert pool_start_method() == "forkserver"
+            with ProcessPoolCampaignExecutor(n_workers=2) as pool:
+                assert pool.start_method == "forkserver"
 
-    def test_initializer_runs_once_in_parent(self):
-        from repro.parallel.executor import ThreadPoolCampaignExecutor
+    def test_kill_lets_the_next_pool_fork(self):
+        """A killed pool's manager thread is gone when ``kill`` returns, so
+        a rebuild in a one-thread process forks again."""
+        run_fresh(KILL_SCRIPT)
 
-        _STATE.pop("v", None)
-        ex = ThreadPoolCampaignExecutor(initializer=_init, initargs=(7,),
-                                        n_workers=2)
-        try:
-            # threads share the parent's module globals: the initializer
-            # already ran, in this thread, exactly once
-            assert _STATE["v"] == 7
-            assert ex.run(_square_plus_state, [0, 1]) == [7, 8]
-        finally:
-            ex.shutdown()
-            _STATE.pop("v", None)
-
-    def test_run_stream_yields_all_results(self):
-        from repro.parallel.executor import ThreadPoolCampaignExecutor
-
-        ex = ThreadPoolCampaignExecutor(n_workers=2)
-        try:
-            got = dict(ex.run_stream(_square, [1, 2, 3]))
-            assert got == {0: 1, 1: 4, 2: 9}
-        finally:
-            ex.shutdown()
-
-    def test_numpy_payloads_zero_copy(self):
-        from repro.parallel.executor import ThreadPoolCampaignExecutor
-
-        arr = np.arange(5)
-        ex = ThreadPoolCampaignExecutor(n_workers=2)
-        try:
-            [result] = ex.run(id, [arr])
-            assert result == id(arr)  # same object: nothing was pickled
-        finally:
-            ex.shutdown()
-
-    def test_invalid_worker_count_rejected(self):
-        from repro.parallel.executor import ThreadPoolCampaignExecutor
-
-        with pytest.raises(ValueError):
-            ThreadPoolCampaignExecutor(n_workers=0)
-
-    def test_shutdown_idempotent(self):
-        from repro.parallel.executor import ThreadPoolCampaignExecutor
-
-        ex = ThreadPoolCampaignExecutor(n_workers=2)
-        ex.shutdown()
-        ex.shutdown()
+    def test_forkserver_workers_run_the_initializer(self):
+        with ProcessPoolCampaignExecutor(initializer=_init, initargs=(5,),
+                                         n_workers=2,
+                                         start_method="forkserver") as pool:
+            assert pool.run(_square_plus_state, [0, 1]) == [5, 6]

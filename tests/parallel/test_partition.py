@@ -6,6 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.parallel.partition import (
+    MIN_POOL_CHUNK,
     chunk_balanced_by_cost,
     chunk_by_size,
     chunk_evenly,
@@ -103,10 +104,21 @@ class TestChunkForWorkers:
         assert [c.tolist() for c in got] == [c.tolist() for c in want]
 
     def test_pool_gets_enough_chunks_to_balance(self):
-        idx = np.arange(1000)
-        chunks = chunk_for_workers(idx, 1000, n_workers=4)
+        idx = np.arange(100_000)
+        chunks = chunk_for_workers(idx, 100_000, n_workers=4)
         assert len(chunks) >= 4 * 4  # min_chunks_per_worker chunks each
         np.testing.assert_array_equal(np.concatenate(chunks), idx)
+
+    def test_never_cut_below_the_floor(self):
+        """A 229-experiment adaptive round stays one chunk instead of
+        eight 29-lane ones; a budget narrower than the floor still
+        rules."""
+        chunks = chunk_for_workers(np.arange(229), 1170, n_workers=2)
+        assert [c.size for c in chunks] == [229]
+        chunks = chunk_for_workers(np.arange(5000), 1170, n_workers=2)
+        assert min(c.size for c in chunks[:-1]) == MIN_POOL_CHUNK
+        chunks = chunk_for_workers(np.arange(5000), 500, n_workers=2)
+        assert max(c.size for c in chunks) == 500
 
     def test_budget_ceiling_never_exceeded(self):
         chunks = chunk_for_workers(np.arange(100), 8, n_workers=2)

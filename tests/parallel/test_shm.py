@@ -15,6 +15,8 @@ from repro.parallel.shm import (
     publish_arrays,
 )
 
+from tests.helpers import extra_thread
+
 
 def _arrays():
     return {
@@ -135,22 +137,26 @@ def _die(_chunk):
 
 
 class TestCampaignPlaneLeaks:
-    """The executor context must never leak a segment, even on crashes."""
+    """The executor context must never leak a segment, even on crashes.
+
+    The campaign publishes a segment only for workers the forkserver
+    starts, which it does while a second thread runs."""
 
     def test_normal_run_leaves_no_segments(self, cg_tiny):
         before = set(owned_segment_names())
-        with campaign_mod._campaign_executor(cg_tiny, 2,
-                                             executor="processes") as pool:
+        with extra_thread(), campaign_mod._campaign_executor(
+                cg_tiny, 2) as pool:
+            assert set(owned_segment_names()) == before  # built lazily
             chunks = campaign_mod._chunk_flats(cg_tiny,
                                                np.arange(64), 1 << 14)
             pool.run(campaign_mod._task_outcomes, chunks)
+            assert set(owned_segment_names()) > before
         assert set(owned_segment_names()) == before
 
     def test_broken_pool_leaves_no_segments(self, cg_tiny):
         before = set(owned_segment_names())
-        with pytest.raises(Exception):
-            with campaign_mod._campaign_executor(
-                    cg_tiny, 2, executor="processes") as pool:
+        with pytest.raises(Exception), extra_thread():
+            with campaign_mod._campaign_executor(cg_tiny, 2) as pool:
                 pool.run(_die, [np.arange(4)])
         assert set(owned_segment_names()) == before
         leftovers = [n for n in os.listdir("/dev/shm")
@@ -159,8 +165,9 @@ class TestCampaignPlaneLeaks:
 
     def test_keyboard_interrupt_leaves_no_segments(self, cg_tiny):
         before = set(owned_segment_names())
-        with pytest.raises(KeyboardInterrupt):
-            with campaign_mod._campaign_executor(
-                    cg_tiny, 2, executor="processes"):
+        with pytest.raises(KeyboardInterrupt), extra_thread():
+            with campaign_mod._campaign_executor(cg_tiny, 2) as pool:
+                pool.run(campaign_mod._task_outcomes, [np.arange(4)])
+                assert set(owned_segment_names()) > before
                 raise KeyboardInterrupt  # user hits ^C mid-campaign
         assert set(owned_segment_names()) == before

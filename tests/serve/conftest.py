@@ -6,7 +6,6 @@ import threading
 
 import pytest
 
-from repro.obs.metrics import METRICS
 from repro.serve import ServiceClient, create_server
 
 #: A fast sample campaign request (~1k experiments, well under a second).
@@ -21,7 +20,6 @@ CG_SAMPLE = {
 @pytest.fixture()
 def service(tmp_path):
     """A running service on an ephemeral port, torn down after the test."""
-    prev_metrics = METRICS.enabled
     server = create_server(tmp_path / "svc")
     thread = threading.Thread(target=server.serve_forever, daemon=True)
     thread.start()
@@ -30,7 +28,6 @@ def service(tmp_path):
     finally:
         server.close()
         thread.join(timeout=10)
-        METRICS.enabled = prev_metrics
 
 
 @pytest.fixture()

@@ -57,6 +57,16 @@ class TestJobRequest:
             JobRequest(kernel="cg", mode="exhaustive",
                        options={"backend": "compiled"})
 
+    def test_removed_executor_knobs_rejected(self):
+        for kind in ("threads", "processes"):  # n_workers picks the pool
+            with pytest.raises(ValueError,
+                               match=f"unknown executor '{kind}'"):
+                JobRequest(kernel="cg", mode="exhaustive",
+                           options={"executor": kind})
+        with pytest.raises(ValueError, match="autotune"):
+            JobRequest(kernel="cg", mode="exhaustive",
+                       options={"autotune": True})
+
     def test_mode_specific_option_does_not_leak(self):
         # sampling_rate belongs to "sample", not "exhaustive"
         with pytest.raises(ValueError, match="unknown option"):
@@ -247,14 +257,17 @@ class TestRecovery:
     def test_recover_false_leaves_jobs_queued(self, tmp_path):
         root = tmp_path / "svc"
         dead = JobManager(root, job_workers=1)
-        dead._run_job = lambda job_id, manifest: threading.Event().wait()
+        park = threading.Event()
+        dead._run_job = lambda job_id, manifest: park.wait()
         job = dead.submit(sample_request())
         idle = JobManager(root, job_workers=1, recover=False)
         try:
             time.sleep(0.2)
             assert idle.get(job["id"])["state"] not in TERMINAL_STATES
         finally:
+            park.set()
             idle.close(wait=False)
+            dead.close(wait=False)
 
 
 class TestClaims:

@@ -3,12 +3,14 @@
 from __future__ import annotations
 
 import json
+import threading
 import urllib.request
 
 import pytest
 
 import repro
-from repro.serve import ServiceError
+from repro.obs.metrics import METRICS
+from repro.serve import ServiceError, create_server
 
 from .conftest import CG_SAMPLE
 
@@ -58,6 +60,31 @@ class TestServiceBasics:
         assert "repro_serve_http_requests " in text
 
 
+class TestServerLifecycle:
+    """A server that never ran its accept loop still closes, and every
+    server hands the process-global metrics switch back as it found it."""
+
+    @pytest.mark.parametrize("stop", ["close", "drain"])
+    def test_stop_without_serve_forever_returns(self, tmp_path, stop):
+        server = create_server(tmp_path / "svc")
+        thread = threading.Thread(target=getattr(server, stop), daemon=True)
+        thread.start()
+        thread.join(timeout=10)
+        assert not thread.is_alive()
+
+    @pytest.mark.parametrize("stop", ["close", "drain"])
+    def test_stop_restores_metrics_switch(self, tmp_path, monkeypatch,
+                                          stop):
+        monkeypatch.setattr(METRICS, "enabled", False)
+        server = create_server(tmp_path / "svc")
+        assert METRICS.enabled
+        thread = threading.Thread(target=server.serve_forever, daemon=True)
+        thread.start()
+        getattr(server, stop)()
+        thread.join(timeout=10)
+        assert METRICS.enabled is False
+
+
 class TestJobRoutes:
     def test_submit_get_list_round_trip(self, client):
         final = submit_and_wait(client)
@@ -73,6 +100,11 @@ class TestJobRoutes:
         with pytest.raises(ServiceError) as err:
             client.submit("not-a-kernel", mode="exhaustive")
         assert err.value.status == 400
+        with pytest.raises(ServiceError) as err:
+            client.submit("cg", {"n": 8}, mode="exhaustive",
+                          options={"executor": "threads"})
+        assert err.value.status == 400
+        assert "unknown executor" in err.value.message
 
     def test_unknown_job_maps_to_404(self, client):
         with pytest.raises(ServiceError) as err:

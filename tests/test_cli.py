@@ -470,19 +470,32 @@ class TestCompose:
 
 
 class TestExecutorFlags:
-    def test_exhaustive_executor_threads(self, tmp_path):
-        out = tmp_path / "exh.npz"
-        code, text = run_cli(["exhaustive", *CG, "--workers", "2",
-                              "--executor", "threads", "--autotune",
-                              "--out", str(out)])
+    def test_exhaustive_with_workers(self, tmp_path):
+        """``--workers`` alone runs the pool, bit-identical to serial."""
+        pooled, serial = tmp_path / "pooled.npz", tmp_path / "serial.npz"
+        code, _ = run_cli(["exhaustive", *CG, "--workers", "2",
+                           "--out", str(pooled)])
         assert code == 0
-        assert out.exists()
+        code, _ = run_cli(["exhaustive", *CG, "--out", str(serial)])
+        assert code == 0
+        with np.load(pooled) as got, np.load(serial) as want:
+            assert sorted(got.files) == sorted(want.files)
+            for key in want.files:
+                np.testing.assert_array_equal(got[key], want[key])
 
     def test_threads_with_retry_policy_rejected(self, tmp_path):
-        with pytest.raises(SystemExit, match="process"):
+        """There is no ``--executor`` flag: argparse rejects it."""
+        with pytest.raises(SystemExit) as err:
             run_cli(["exhaustive", *CG, "--workers", "2",
                      "--executor", "threads", "--max-retries", "1",
                      "--out", str(tmp_path / "x.npz")])
+        assert err.value.code == 2
+
+    def test_autotune_flag_rejected(self, tmp_path):
+        with pytest.raises(SystemExit) as err:
+            run_cli(["exhaustive", *CG, "--autotune",
+                     "--out", str(tmp_path / "x.npz")])
+        assert err.value.code == 2
 
 
 class TestVersion:
