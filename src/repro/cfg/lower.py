@@ -11,7 +11,7 @@ bit-identical to the tape engine, which the test suite asserts for
 outcomes, boundaries and checkpoints.
 
 Lowered workloads re-register under the ``cfg-lowered`` kernel name so
-process/distributed campaign workers can rebuild them from the spec
+dist nodes can rebuild them from the spec
 ``("cfg-lowered", {"kernel": ..., "params": ...})`` alone.
 """
 

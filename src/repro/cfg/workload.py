@@ -2,8 +2,8 @@
 
 A :class:`CfgWorkload` is a drop-in :class:`~repro.kernels.workload.Workload`
 whose ``program`` is a :class:`~repro.cfg.program.CfgProgram`.  Everything
-downstream — comparator, spec-keyed checkpoints, registry rebuild in worker
-processes — is inherited unchanged; only golden-trace construction differs
+downstream — comparator, spec-keyed checkpoints, registry rebuild on dist
+nodes — is inherited unchanged; only golden-trace construction differs
 (the CFG interpreter instead of the tape interpreter).
 """
 

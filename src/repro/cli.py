@@ -1224,7 +1224,7 @@ def _cmd_dist_coordinator(args, out) -> int:
                     f"{args.wait_nodes} nodes attached within "
                     f"{args.wait_timeout}s")
             print(f"{plane.n_nodes} nodes attached", file=out, flush=True)
-        common = dict(executor="dist", dist=plane,
+        common = dict(dist=plane,
                       n_workers=args.workers, retry_policy=policy,
                       checkpoint=checkpoint, **obs_kwargs)
         if args.batch_budget is not None:

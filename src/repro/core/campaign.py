@@ -56,15 +56,14 @@ from __future__ import annotations
 import time
 from contextlib import contextmanager, nullcontext
 from dataclasses import dataclass, field, replace
+from functools import partial
 from pathlib import Path
-from typing import Any
+from typing import Any, Callable
 
 import numpy as np
 
 from ..engine.batch import BatchReplayer, lanes_for_budget, make_replayer
 from ..engine.classify import Outcome, classify_batch
-from ..engine.interpreter import GoldenTrace
-from ..engine.program import Program
 from ..kernels.workload import Workload
 from ..obs import metrics as _metrics
 from ..obs.trace import TRACER, rss_peak_kb, span
@@ -75,7 +74,6 @@ from ..parallel.executor import (
 )
 from ..parallel.partition import chunk_for_workers
 from ..parallel.progress import as_progress
-from ..parallel.shm import ShmHandle, attach_arrays, publish_arrays
 from ..parallel.resilience import (
     CampaignHealth,
     ResilientExecutor,
@@ -107,110 +105,23 @@ DEFAULT_BATCH_BUDGET = 1 << 26
 CAMPAIGN_MODES = ("exhaustive", "sample", "monte_carlo", "adaptive",
                   "compositional")
 
-#: Valid :attr:`CampaignConfig.executor` values.
-EXECUTOR_KINDS = ("auto", "serial", "dist")
-
 # --------------------------------------------------------------------------
-# Worker-side state.  The serial plane and forked pool workers point these
-# globals at the parent's workload; workers the forkserver starts attach
-# the parent's published shared-memory plane or rebuild from the spec.
+# Worker-side state.  Every local worker points these globals at its
+# campaign's workload through _init_worker_direct: the serial plane in
+# this process, forked pool workers on the workload they inherit, and
+# forkserver workers on the workload unpickled from the pool's initargs.
 # --------------------------------------------------------------------------
 
 _WL: Workload | None = None
 _REPLAYER: BatchReplayer | None = None
-#: Worker-side shm attachment; module-global so the mapping (and therefore
-#: every zero-copy view the replayer holds) outlives the initializer call.
-_SHM = None
-
-
-def _publish_workload_plane(workload: Workload):
-    """Publish the tape + golden trace into one shared-memory segment.
-
-    The segment carries everything a worker needs to execute campaign
-    tasks: the program's structure-of-arrays, its bound inputs, and the
-    golden trace the parent already computed — so workers neither rebuild
-    the workload from its spec nor re-run the golden execution.
-    """
-    prog = workload.program
-    trace = workload.trace  # computed (and cached) in the parent, once
-    arrays = {
-        "ops": prog.ops,
-        "operands": prog.operands,
-        "consts": prog.consts,
-        "is_site": prog.is_site,
-        "region_ids": prog.region_ids,
-        "outputs": prog.outputs,
-        "inputs": prog.inputs,
-        "values": trace.values,
-        "guard_taken": trace.guard_taken,
-    }
-    meta = {
-        "name": prog.name,
-        "dtype": prog.dtype.str,
-        "region_names": list(prog.region_names),
-        "spec": prog.spec,
-        "tolerance": workload.tolerance,
-        "norm": workload.norm,
-        "description": workload.description,
-    }
-    return publish_arrays(arrays, meta)
-
-
-def _init_worker_shm(handle: ShmHandle) -> None:
-    """Forkserver-worker initializer: attach the parent's plane zero-copy.
-
-    The replay plan is per process: each worker builds it once from the
-    attached trace.
-    """
-    global _WL, _REPLAYER, _SHM
-    att = attach_arrays(handle)
-    a, m = att.arrays, att.meta
-    prog = Program(
-        name=m["name"],
-        dtype=np.dtype(m["dtype"]),
-        ops=a["ops"],
-        operands=a["operands"],
-        consts=a["consts"],
-        is_site=a["is_site"],
-        region_ids=a["region_ids"],
-        region_names=list(m["region_names"]),
-        outputs=a["outputs"],
-        inputs=a["inputs"],
-        spec=m["spec"],
-    )
-    trace = GoldenTrace(program=prog, values=a["values"],
-                        guard_taken=a["guard_taken"])
-    wl = Workload(program=prog, tolerance=m["tolerance"], norm=m["norm"],
-                  description=m["description"], _trace=trace)
-    _SHM = att
-    _WL = wl
-    _REPLAYER = make_replayer(wl.trace)
 
 
 def _init_worker_direct(workload: Workload) -> None:
-    """Initializer of the serial plane, forked pool workers and dist nodes:
-    use the workload in this process's memory."""
+    """Initializer of every local worker and of dist nodes: use the
+    workload in this process's memory."""
     global _WL, _REPLAYER
     _WL = workload
     _REPLAYER = make_replayer(workload.trace)
-
-
-def _init_worker_cfg_spec(spec: tuple[str, dict], tolerance: float,
-                          norm: str) -> None:
-    """Forkserver-worker initializer for CFG workloads: rebuild from the spec.
-
-    CFG golden state (block path, per-step register snapshots) is not the
-    flat-array shape the shm plane ships; the spec is a few bytes and the
-    rebuild deterministic, so workers reconstruct the workload locally and
-    re-run the golden execution instead of attaching a segment.
-    """
-    global _WL, _REPLAYER
-    from ..kernels.workload import from_spec
-    wl = from_spec(spec)
-    wl.tolerance = tolerance
-    wl.norm = norm
-    _WL = wl
-    _REPLAYER = make_replayer(wl.trace)
 
 
 def _is_cfg_workload(workload: Workload) -> bool:
@@ -218,78 +129,45 @@ def _is_cfg_workload(workload: Workload) -> bool:
     return is_cfg_workload(workload)
 
 
-def _resolve_executor_kind(executor: str, n_workers: int | None) -> str:
-    """Collapse the ``executor`` knob to one of serial/processes/dist.
-
-    ``"auto"`` runs a process pool when ``n_workers > 1`` and serially
-    otherwise; ``"serial"`` ignores ``n_workers``.
-    """
-    if executor not in EXECUTOR_KINDS:
-        raise ValueError(f"unknown executor {executor!r}; "
-                         f"expected one of {EXECUTOR_KINDS}")
-    if executor == "dist":
-        # worker count is per-node (each node announces its own); the
-        # retry policy bounds the coordinator's lease retries instead
+def _plane(n_workers: int | None, dist=None) -> str:
+    """The execution plane a campaign's arguments select: ``dist`` when a
+    distributed plane is given, else ``processes`` when ``n_workers`` is
+    more than one, else ``serial``."""
+    if dist is not None:
         return "dist"
-    if not n_workers or n_workers == 1 or executor == "serial":
+    if not n_workers or n_workers == 1:
         return "serial"
     return "processes"
 
 
-class _WorkerPools:
-    """Builds the process pools of one campaign (see DESIGN §6).
+def _process_pool(workload: Workload,
+                  n_workers: int) -> ProcessPoolCampaignExecutor:
+    """A process pool of one campaign (see DESIGN §6).
 
-    Each call applies :func:`~repro.parallel.executor.pool_start_method`,
-    so a :class:`~repro.parallel.resilience.ResilientExecutor` rebuild
-    re-decides how its workers start.  ``fork`` workers run
-    :func:`_init_worker_direct` on the inherited workload, with the replay
-    plan built here first (it is memoized on the trace, so every worker
-    shares the parent's copy).  ``forkserver`` workers rebuild a CFG
-    workload from its spec, or attach the tape and golden trace through
-    one shared-memory segment, published on first need and unlinked by
-    :meth:`close`.
+    Every build, a :class:`~repro.parallel.resilience.ResilientExecutor`
+    rebuild included, reads :func:`~repro.parallel.executor.pool_start_method`
+    afresh.  The golden run happens here, once: forked workers inherit
+    the trace and forkserver workers unpickle it.  Under ``fork`` the
+    replay plan is built here too (it is memoized on the trace, so every
+    worker inherits the parent's copy); forkserver workers build their
+    own, which is cheaper than pickling it.
     """
-
-    def __init__(self, workload: Workload, n_workers: int | None):
-        self.workload = workload
-        self.n_workers = n_workers
-        self.plane = None
-
-    def __call__(self) -> ProcessPoolCampaignExecutor:
-        wl = self.workload
-        method = pool_start_method()
-        if method == "fork":
-            make_replayer(wl.trace)
-            init = _init_worker_direct, (wl,)
-        elif _is_cfg_workload(wl):
-            if wl.spec is None:
-                raise ValueError(
-                    "workers started from the forkserver (this process "
-                    "runs more than one thread) need a spec-built CFG "
-                    "workload (program.spec is None; build through the "
-                    "kernel registry or repro.cfg.lower_workload)")
-            init = _init_worker_cfg_spec, (wl.spec, wl.tolerance, wl.norm)
-        else:
-            if self.plane is None:
-                self.plane = _publish_workload_plane(wl)
-            init = _init_worker_shm, (self.plane.handle,)
-        return ProcessPoolCampaignExecutor(*init, n_workers=self.n_workers,
-                                           start_method=method)
-
-    def close(self) -> None:
-        if self.plane is not None:
-            self.plane.close()
+    trace = workload.trace
+    if pool_start_method() == "fork":
+        make_replayer(trace)
+    return ProcessPoolCampaignExecutor(_init_worker_direct, (workload,),
+                                       n_workers=n_workers)
 
 
 class _LazyPool:
     """A campaign's plain process pool, built on its first batch of tasks.
 
     A campaign with nothing left to run (a fully resumed checkpoint, a
-    warm compose cache) then never builds a replay plan or publishes a
-    shared-memory segment for a pool it would not use.
+    warm compose cache) then never builds a replay plan or a pool it
+    would not use.
     """
 
-    def __init__(self, factory: _WorkerPools):
+    def __init__(self, factory: Callable[[], ProcessPoolCampaignExecutor]):
         self._factory = factory
         self._pool: ProcessPoolCampaignExecutor | None = None
 
@@ -311,45 +189,36 @@ class _LazyPool:
 
 @contextmanager
 def _campaign_executor(workload: Workload, n_workers: int | None,
-                       retry_policy: RetryPolicy | None = None,
-                       executor: str = "auto", dist=None):
+                       retry_policy: RetryPolicy | None = None, dist=None):
     """The executor of one campaign, shared by all of its phases.
 
-    A shared-memory segment published for process workers is unlinked
-    after ``shutdown()`` — on normal exit, on error and on
-    ``KeyboardInterrupt`` alike, so no segment outlives the campaign —
-    and stays valid across
-    :class:`~repro.parallel.resilience.ResilientExecutor` pool rebuilds.
+    The plane follows from the arguments (:func:`_plane`): ``dist``'s
+    lease executor, else a process pool (inside a
+    :class:`~repro.parallel.resilience.ResilientExecutor` when there is a
+    ``retry_policy``), else the serial plane.  It is shut down on normal
+    exit, on error and on ``KeyboardInterrupt`` alike.
     """
-    kind = _resolve_executor_kind(executor, n_workers)
-    pools = _WorkerPools(workload, n_workers) if kind == "processes" \
-        else None
+    kind = _plane(n_workers, dist)
+    if kind == "dist":
+        # worker count is per-node (each node announces its own); the
+        # retry policy bounds the coordinator's lease retries instead
+        pool = dist.executor(workload, retry_policy)
+    elif kind == "serial":
+        pool = SerialExecutor(initializer=_init_worker_direct,
+                              initargs=(workload,))
+    elif retry_policy is not None:
+        pool = ResilientExecutor(initializer=_init_worker_direct,
+                                 initargs=(workload,),
+                                 n_workers=n_workers,
+                                 policy=retry_policy,
+                                 pool_factory=partial(_process_pool,
+                                                      workload, n_workers))
+    else:
+        pool = _LazyPool(partial(_process_pool, workload, n_workers))
     try:
-        if kind == "dist":
-            if dist is None:
-                raise RuntimeError(
-                    'executor="dist" needs a distributed plane; pass '
-                    "CampaignConfig.dist (a repro.dist.DistPlane) to "
-                    "run_campaign")
-            pool = dist.executor(workload, retry_policy)
-        elif kind == "serial":
-            pool = SerialExecutor(initializer=_init_worker_direct,
-                                  initargs=(workload,))
-        elif retry_policy is not None:
-            pool = ResilientExecutor(initializer=_init_worker_direct,
-                                     initargs=(workload,),
-                                     n_workers=n_workers,
-                                     policy=retry_policy,
-                                     pool_factory=pools)
-        else:
-            pool = _LazyPool(pools)
-        try:
-            yield pool
-        finally:
-            pool.shutdown()
+        yield pool
     finally:
-        if pools is not None:
-            pools.close()
+        pool.shutdown()
 
 
 def _task_outcomes(flat_chunk: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -499,15 +368,13 @@ class CampaignConfig:
         runs one process pool for the whole campaign, whose workers
         start by ``fork`` and inherit the workload when this process
         runs one thread, and otherwise start from a ``forkserver`` and
-        attach it through POSIX shared memory (CFG workloads: rebuild it
-        from its spec).
-    executor:
-        Execution plane: ``"auto"`` (default) follows ``n_workers``;
-        ``"serial"`` forces in-process execution; ``"dist"`` leases
-        chunks to remote worker nodes through the
-        :class:`~repro.dist.DistPlane` passed as :attr:`dist`.  The
-        choice never affects results — every plane is bit-identical to
-        serial.
+        unpickle it.
+    dist:
+        A :class:`~repro.dist.DistPlane`: the campaign leases its chunks
+        to the plane's worker nodes instead (``n_workers`` then only
+        sizes the chunks).  Owned by the caller (CLI / job service),
+        which also closes it.  The plane never affects results — every
+        plane is bit-identical to serial.
     batch_budget:
         Byte budget for one replay batch's value + deviation matrices.
     progress:
@@ -544,9 +411,6 @@ class CampaignConfig:
     mode: str = "monte_carlo"
     # execution
     n_workers: int | None = None
-    executor: str = "auto"
-    #: :class:`~repro.dist.DistPlane` serving ``executor="dist"`` runs;
-    #: owned by the caller (CLI / job service), which also closes it
     dist: Any = None
     batch_budget: int = DEFAULT_BATCH_BUDGET
     progress: Any = None
@@ -574,15 +438,6 @@ class CampaignConfig:
             raise ValueError(
                 f"unknown campaign mode {self.mode!r}; "
                 f"expected one of {CAMPAIGN_MODES}")
-        if self.executor not in EXECUTOR_KINDS:
-            raise ValueError(
-                f"unknown executor {self.executor!r}; "
-                f"expected one of {EXECUTOR_KINDS}")
-        if self.executor == "dist" and self.dist is None:
-            raise ValueError(
-                'executor="dist" needs CampaignConfig.dist (a '
-                "repro.dist.DistPlane the campaign can lease chunks "
-                "through)")
         if self.batch_budget <= 0:
             raise ValueError("batch_budget must be positive")
 
@@ -671,7 +526,6 @@ def infer_boundary(
     progress=None,
     retry_policy: RetryPolicy | None = None,
     checkpoint: CampaignCheckpoint | None = None,
-    executor: str = "auto",
     pool=None,
 ) -> FaultToleranceBoundary:
     """Phase B: build the Algorithm 1 boundary from a sampled campaign.
@@ -683,12 +537,12 @@ def infer_boundary(
     ``exact_rule`` is on (§4.4).
 
     The replays run on ``pool`` when given (a campaign's executor), else
-    on an executor opened from ``n_workers`` / ``retry_policy`` /
-    ``executor`` for this call.  Aggregator partials merge by
-    per-instruction max (``delta_e``) and sum (``info``) — commutative
-    and associative — so results stream in completion order and, with a
-    ``checkpoint``, the merged partial persists after every chunk; a
-    resumed call replays only the chunks the partial has not absorbed.
+    on an executor opened from ``n_workers`` / ``retry_policy`` for this
+    call.  Aggregator partials merge by per-instruction max (``delta_e``)
+    and sum (``info``) — commutative and associative — so results stream
+    in completion order and, with a ``checkpoint``, the merged partial
+    persists after every chunk; a resumed call replays only the chunks
+    the partial has not absorbed.
     """
     space = sampled.space
     progress = as_progress(progress)
@@ -728,7 +582,7 @@ def infer_boundary(
                 if pending:
                     with (nullcontext(pool) if pool is not None else
                           _campaign_executor(workload, n_workers,
-                                             retry_policy, executor)
+                                             retry_policy)
                           ) as run_on:
                         try:
                             for j, (d, i, k) in run_on.run_stream(
@@ -964,6 +818,19 @@ def _check_cfg_config(workload: Workload, config: CampaignConfig) -> None:
             "compose on the straight-line program before lowering)")
 
 
+def _check_dist_config(config: CampaignConfig) -> None:
+    """Reject ``mode="compositional"`` on a distributed plane (fail fast).
+
+    Nodes run only phase-A and phase-B tasks, so a section task would
+    fail after the campaign had started.
+    """
+    if config.dist is not None and config.mode == "compositional":
+        raise ValueError(
+            'mode="compositional" cannot run on the distributed plane, '
+            "whose nodes run only phase-A and phase-B tasks (run it "
+            "without CampaignConfig.dist)")
+
+
 def run_campaign(workload: Workload,
                  config: CampaignConfig | None = None,
                  **overrides) -> CampaignResult:
@@ -1010,12 +877,13 @@ def run_campaign(workload: Workload,
 
     try:
         _check_cfg_config(workload, config)
+        _check_dist_config(config)
         with span(f"campaign.{config.mode}", mode=config.mode,
                   kernel=workload.name or "unnamed",
                   n_workers=config.n_workers or 1,
-                  executor=config.executor), \
+                  executor=_plane(config.n_workers, config.dist)), \
                 _campaign_executor(workload, config.n_workers,
-                                   config.retry_policy, config.executor,
+                                   config.retry_policy,
                                    config.dist) as pool:
             result = _DISPATCH[config.mode](workload, config, pool)
             result.health = getattr(pool, "health", None)

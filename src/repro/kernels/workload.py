@@ -6,8 +6,8 @@ defined by the domain user"), and the output-error norm.  Kernels register
 builder functions under short names so that
 
 * benches and examples construct workloads uniformly (``build("cg", n=16)``),
-* parallel campaign workers rebuild the tape from its ``(name, params)``
-  spec instead of shipping multi-megabyte traces between processes.
+* dist nodes rebuild the tape from its ``(name, params)`` spec, which is
+  all the coordinator ships them over TCP.
 """
 
 from __future__ import annotations
@@ -124,8 +124,9 @@ def build(name: str, **params) -> Workload:
 def from_spec(spec: tuple[str, dict]) -> Workload:
     """Rebuild a workload from a program's ``(name, params)`` provenance.
 
-    Used by parallel campaign workers: the spec is a few bytes, the rebuilt
-    tape is deterministic, so no trace data crosses process boundaries.
+    Used by dist nodes: the spec is a few bytes and the rebuilt tape is
+    deterministic, so no trace data crosses the network.  Local pool
+    workers receive the workload itself instead.
     """
     name, params = spec
     return build(name, **params)

@@ -1,5 +1,5 @@
 """Parallel campaign execution: partitioning, RNG streams, executors,
-shared-memory transport, fault tolerance."""
+fault tolerance."""
 
 from .executor import (
     CampaignExecutor,
@@ -30,14 +30,6 @@ from .resilience import (
     WorkerDeath,
 )
 from .rng import spawn_generators, trial_generators
-from .shm import (
-    ShmArrayBundle,
-    ShmAttachment,
-    ShmHandle,
-    attach_arrays,
-    owned_segment_names,
-    publish_arrays,
-)
 
 __all__ = [
     "CampaignExecutionError",
@@ -49,23 +41,17 @@ __all__ = [
     "ResilientExecutor",
     "RetryPolicy",
     "SerialExecutor",
-    "ShmArrayBundle",
-    "ShmAttachment",
-    "ShmHandle",
     "StderrProgress",
     "TaskError",
     "TaskTimeout",
     "WorkerDeath",
     "as_progress",
-    "attach_arrays",
     "chunk_balanced_by_cost",
     "chunk_by_size",
     "chunk_evenly",
     "chunk_for_workers",
     "default_workers",
-    "owned_segment_names",
     "pool_start_method",
-    "publish_arrays",
     "spawn_generators",
     "trial_generators",
 ]

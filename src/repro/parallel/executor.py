@@ -18,9 +18,8 @@ forked worker inherits the parent's memory, campaign workload and replay
 plan included, so its initializer receives them without any pickling;
 but it also inherits every lock that another thread held at the fork,
 and nothing in the child will ever release it.  Workers the forkserver
-starts share no such state: their initargs are pickled, so the campaign
-layer (``repro.core.campaign``) gives them a shared-memory handle or a
-workload spec instead of the workload itself.
+starts share no such state: their initargs are pickled, so each one
+unpickles its own copy of the campaign workload.
 
 Both executors expose two consumption styles:
 
@@ -137,9 +136,9 @@ class ProcessPoolCampaignExecutor:
     chunksize:
         Tasks dispatched per IPC round-trip (``run`` only; streaming
         submits tasks individually).
-    start_method:
-        ``"fork"`` or ``"forkserver"``; defaults to
-        :func:`pool_start_method` evaluated now.
+
+    The workers' start method is :func:`pool_start_method` evaluated at
+    construction; :attr:`start_method` records it.
     """
 
     def __init__(
@@ -148,7 +147,6 @@ class ProcessPoolCampaignExecutor:
         initargs: tuple = (),
         n_workers: int | None = None,
         chunksize: int = 1,
-        start_method: str | None = None,
     ):
         if n_workers is not None and n_workers < 1:
             raise ValueError("need at least one worker")
@@ -156,7 +154,7 @@ class ProcessPoolCampaignExecutor:
             raise ValueError("chunksize must be at least 1")
         self.n_workers = n_workers or default_workers()
         self.chunksize = chunksize
-        self.start_method = start_method or pool_start_method()
+        self.start_method = pool_start_method()
         context = multiprocessing.get_context(self.start_method)
         if self.start_method == "forkserver":
             context.set_forkserver_preload(list(FORKSERVER_PRELOAD))

@@ -65,7 +65,7 @@ import numpy as np
 
 from .. import kernels
 from ..core.boundary import exhaustive_boundary
-from ..core.campaign import EXECUTOR_KINDS, CampaignConfig, run_campaign
+from ..core.campaign import CampaignConfig, run_campaign
 from ..core.checkpoint import CampaignCheckpoint
 from ..core.prediction import BoundaryPredictor
 from ..core.sampling import ProgressiveConfig
@@ -119,6 +119,17 @@ _COMMON_OPTIONS = frozenset({
     "n_workers", "executor", "batch_budget",
     "max_retries", "task_timeout",
 })
+
+#: Values of ``options.executor``: ``auto`` runs a process pool when
+#: ``n_workers`` is more than one, ``serial`` runs in the job's thread
+#: whatever ``n_workers`` says, and ``dist`` leases chunks through the
+#: service's distributed plane.
+JOB_EXECUTORS = ("auto", "serial", "dist")
+
+#: Job modes that run a compositional campaign.  Dist nodes run only
+#: phase-A and phase-B tasks, not its section tasks.
+_COMPOSITIONAL_MODES = ("compose", "optimize")
+
 _MODE_OPTIONS = {
     "exhaustive": frozenset(),
     "sample": frozenset({"sampling_rate", "seed", "use_filter",
@@ -230,9 +241,14 @@ class JobRequest:
                 f"unknown option(s) {unknown} for mode {self.mode!r}; "
                 f"allowed: {sorted(allowed)}")
         executor = self.options.get("executor", "auto")
-        if executor not in EXECUTOR_KINDS:
+        if executor not in JOB_EXECUTORS:
             raise ValueError(f"unknown executor {executor!r}; "
-                             f"expected one of {EXECUTOR_KINDS}")
+                             f"expected one of {JOB_EXECUTORS}")
+        if executor == "dist" and self.mode in _COMPOSITIONAL_MODES:
+            raise ValueError(
+                f'mode {self.mode!r} cannot take options.executor="dist": '
+                "dist nodes run only phase-A and phase-B tasks, and this "
+                "mode runs compositional section tasks")
         if self.mode == "sample":
             rate = self.options.get("sampling_rate")
             if rate is None or not 0 < float(rate) <= 1:
@@ -885,17 +901,16 @@ class JobManager:
             retry_policy = RetryPolicy(
                 max_retries=int(opts.get("max_retries", 2)),
                 task_timeout=opts.get("task_timeout"))
+        executor = opts.get("executor", "auto")
         common = dict(
-            n_workers=n_workers,
-            executor=opts.get("executor", "auto"),
+            n_workers=None if executor == "serial" else n_workers,
+            dist=self.dist_plane if executor == "dist" else None,
             progress=progress,
             retry_policy=retry_policy,
         )
-        if common["executor"] == "dist":
-            common["dist"] = self.dist_plane
         if opts.get("batch_budget") is not None:
             common["batch_budget"] = int(opts["batch_budget"])
-        if request.mode == "compose":
+        if request.mode in _COMPOSITIONAL_MODES:
             compose = {"cache_dir": str(self.compose_cache_dir)}
             for key in ("n_sections", "cuts", "slack"):
                 if opts.get(key) is not None:
@@ -1048,29 +1063,15 @@ class JobManager:
                 return  # cancelled in the submit->claim window
             progress = self._progress_hook(job_id)
 
-            compose = {"cache_dir": str(self.compose_cache_dir)}
-            slack = 1.0
-            if opts.get("n_sections") is not None:
-                compose["n_sections"] = int(opts["n_sections"])
-            if opts.get("slack") is not None:
-                slack = float(opts["slack"])
-                compose["slack"] = slack
-            n_workers = opts.get("n_workers")
-            if n_workers and self.campaign_workers:
-                n_workers = min(int(n_workers), self.campaign_workers)
-            campaign_cfg = CampaignConfig(
-                mode="compositional", compose=compose,
-                n_workers=n_workers,
-                executor=opts.get("executor", "auto"),
-                    progress=progress)
-            result = run_campaign(workload, campaign_cfg)
+            result = run_campaign(workload, self._build_config(
+                request, job_dir, workload, progress))
 
             search_cfg = _search_config_from_options(opts)
             model = build_cost_model(workload, modes=search_cfg.modes,
                                      margin=float(opts.get("margin", 0.5)))
             evaluator = EnvelopeEvaluator.from_summaries(
                 model, result.summaries, result.boundary.space,
-                workload.tolerance, slack)
+                workload.tolerance, float(opts.get("slack", 1.0)))
             checkpoint = SearchCheckpoint(
                 job_dir / "search-checkpoint.npz",
                 content_key=f"{key}:{search_cfg.content_key()}")

@@ -8,6 +8,7 @@ import pytest
 from repro import core
 from repro.cfg.workload import CfgWorkload
 from repro.core.checkpoint import CampaignCheckpoint
+from repro.parallel.executor import pool_start_method
 
 from tests.helpers import extra_thread, run_fresh
 
@@ -69,13 +70,21 @@ class TestExecutorParity:
         np.testing.assert_array_equal(result.injected_errors,
                                       cg_dyn_tiny_golden.injected_errors)
 
-    def test_processes_need_a_spec(self):
-        """Workers the forkserver starts rebuild a CFG workload from its
-        spec, so a spec-less one cannot run on them."""
-        bare = CfgWorkload(program=build_countdown(), tolerance=0.5,
-                           description="spec-less countdown")
-        with extra_thread(), pytest.raises(ValueError, match="spec"):
-            core.run_campaign(bare, mode="exhaustive", n_workers=2)
+    def test_specless_runs_under_forkserver(self):
+        """Workers the forkserver starts unpickle the workload itself, so a
+        spec-less CFG workload runs on them, bit-identically to serial."""
+        def bare():
+            return CfgWorkload(program=build_countdown(), tolerance=0.5,
+                               description="spec-less countdown")
+
+        serial = core.run_campaign(bare(), mode="exhaustive").exhaustive
+        with extra_thread():
+            assert pool_start_method() == "forkserver"
+            pooled = core.run_campaign(bare(), mode="exhaustive",
+                                       n_workers=2).exhaustive
+        np.testing.assert_array_equal(pooled.outcomes, serial.outcomes)
+        np.testing.assert_array_equal(pooled.injected_errors,
+                                      serial.injected_errors)
 
     def test_specless_runs_on_forked_workers(self):
         """Forked workers inherit the workload itself: no spec needed."""

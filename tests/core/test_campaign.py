@@ -140,10 +140,10 @@ class TestInferBoundary:
 
 class TestSpeclessWorkloadsRunParallel:
     def test_specless_workload_runs_on_every_plane(self, cg_tiny, rng):
-        """Forked workers inherit the tape and the shm plane ships it, so a
-        workload without (kernel, params) provenance runs on process
-        workers, bit-identically to serial (the forkserver case is in
-        test_start_methods.py)."""
+        """Forked workers inherit the tape and forkserver workers unpickle
+        it, so a workload without (kernel, params) provenance runs on
+        process workers, bit-identically to serial (the forkserver case is
+        in test_start_methods.py)."""
         import copy
 
         bare = copy.copy(cg_tiny)
@@ -160,7 +160,7 @@ class TestSpeclessWorkloadsRunParallel:
 
 class TestWorkerToleranceConsistency:
     def test_overridden_tolerance_reaches_workers(self, rng):
-        """Workers rebuild workloads from specs; a tolerance overridden
+        """Workers receive the workload itself; a tolerance overridden
         after construction must still govern their classification."""
         wl = build("cg", n=8, iters=8)
         wl.tolerance = wl.tolerance * 10  # domain user relaxes T

@@ -10,10 +10,9 @@ is pinned down in test_start_methods.py.
 import numpy as np
 import pytest
 
-from repro.core import CampaignConfig, run_campaign
-from repro.core.campaign import _campaign_executor, _resolve_executor_kind
+from repro.core import CampaignConfig, infer_boundary, run_campaign
+from repro.core.campaign import _campaign_executor, _plane
 from repro.parallel.resilience import ResilientExecutor, RetryPolicy
-from repro.parallel.shm import owned_segment_names
 
 #: pooled planes by test id -> the config that selects them
 PLANES = {"processes": {"n_workers": 2}}
@@ -34,7 +33,6 @@ class TestExhaustiveParity:
         np.testing.assert_array_equal(parallel.outcomes, serial.outcomes)
         np.testing.assert_array_equal(parallel.injected_errors,
                                       serial.injected_errors)
-        assert owned_segment_names() == []  # plane fully torn down
 
 
 class TestInferenceParity:
@@ -51,13 +49,21 @@ class TestInferenceParity:
                                       serial.boundary.thresholds)
 
 class TestExecutorResolution:
+    """The plane follows from ``dist`` and ``n_workers``; there is no
+    ``executor`` knob."""
+
     def test_serial_fallbacks(self):
         for workers in (None, 0, 1):
-            assert _resolve_executor_kind("auto", workers) == "serial"
-        assert _resolve_executor_kind("serial", 8) == "serial"
+            assert _plane(workers) == "serial"
 
     def test_auto_picks_processes(self):
-        assert _resolve_executor_kind("auto", 2) == "processes"
+        assert _plane(2) == "processes"
+        assert _plane(8) == "processes"
+
+    def test_dist_plane_wins(self):
+        plane = object()  # any plane; only its presence is read
+        for workers in (None, 1, 4):
+            assert _plane(workers, plane) == "dist"
 
     def test_auto_needs_processes_for_retry_isolation(self, cg_tiny):
         policy = RetryPolicy(max_retries=1)
@@ -65,21 +71,36 @@ class TestExecutorResolution:
             assert isinstance(pool, ResilientExecutor)
 
     def test_threads_with_retry_policy_rejected(self):
-        """There is no thread plane: ``threads`` is an unknown executor."""
-        with pytest.raises(ValueError, match="unknown executor 'threads'"):
+        """There is no thread plane, and no knob to ask for one."""
+        with pytest.raises(TypeError, match="executor"):
             CampaignConfig(mode="exhaustive", executor="threads",
                            n_workers=2, retry_policy=RetryPolicy())
 
-    def test_unknown_kind_rejected(self):
-        with pytest.raises(ValueError, match="unknown executor"):
-            _resolve_executor_kind("gpu", 2)
+    def test_unknown_kind_rejected(self, cg_tiny):
+        """``run_campaign`` passes ``executor=`` on as an unknown field."""
+        with pytest.raises(TypeError, match="executor"):
+            run_campaign(cg_tiny, mode="exhaustive", executor="serial")
 
-    def test_config_validates_executor(self, cg_tiny):
-        with pytest.raises(ValueError, match="unknown executor"):
-            CampaignConfig(mode="exhaustive", executor="gpu")
+    def test_config_validates_executor(self):
+        with pytest.raises(TypeError, match="executor"):
+            CampaignConfig(mode="exhaustive", executor="auto")
 
     def test_processes_is_not_an_executor(self):
         """``n_workers`` alone selects the pool."""
-        with pytest.raises(ValueError, match="unknown executor 'processes'"):
+        with pytest.raises(TypeError, match="executor"):
             CampaignConfig(mode="exhaustive", executor="processes",
                            n_workers=2)
+
+    def test_compositional_rejected_with_a_plane(self, cg_tiny):
+        """Dist nodes run only phase-A and phase-B tasks, so a
+        compositional campaign fails before it starts, not on its first
+        lease."""
+        plane = object()  # never reached: the check runs first
+        with pytest.raises(ValueError, match="compositional"):
+            run_campaign(cg_tiny, mode="compositional", dist=plane)
+
+    def test_infer_boundary_has_no_executor(self, cg_tiny):
+        sampled = run_campaign(cg_tiny, mode="sample",
+                               experiments=np.arange(64)).sampled
+        with pytest.raises(TypeError, match="executor"):
+            infer_boundary(cg_tiny, sampled, executor="serial")

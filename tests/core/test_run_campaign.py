@@ -176,6 +176,7 @@ class TestObservabilityHooks:
         root = next(r for r in sink.records
                     if r["name"] == "campaign.monte_carlo")
         assert root["kernel"] == "cg"
+        assert root["executor"] == "serial"  # the plane that was picked
         assert not TRACER.enabled  # detached + restored
         assert sink not in TRACER._sinks
 

@@ -7,7 +7,8 @@ only thread is its main thread, and the forkserver case keeps a second
 thread alive around its campaigns.  Outcomes, injected errors and
 boundaries must be bit-identical to serial runs, as they are for the
 distributed plane, on the straight-line kernels, a dynamic CFG kernel
-and a lowered CFG program.
+and a lowered CFG program.  However a campaign ends, its executor leaves
+no live worker behind.
 """
 
 from __future__ import annotations
@@ -17,6 +18,7 @@ import multiprocessing
 import os
 import signal
 import threading
+from concurrent.futures.process import BrokenProcessPool
 
 import numpy as np
 import pytest
@@ -27,7 +29,6 @@ from repro.core import run_campaign
 from repro.core.checkpoint import CampaignCheckpoint
 from repro.dist import DistConfig, DistPlane, NodeAgent
 from repro.parallel.executor import pool_start_method
-from repro.parallel.shm import owned_segment_names
 
 from tests.helpers import extra_thread, run_fresh
 
@@ -98,13 +99,14 @@ def forked(tmp_path_factory):
 
 
 @pytest.fixture(scope="module")
-def dist_plane():
+def dist_node():
+    """A distributed plane with one attached node: ``(plane, agent)``."""
     with DistPlane(DistConfig()) as plane:
         agent = NodeAgent(plane.host, plane.port, n_workers=2)
         thread = threading.Thread(target=agent.run, daemon=True)
         thread.start()
         assert plane.wait_for_nodes(1, timeout=30.0)
-        yield plane
+        yield plane, agent
     thread.join(timeout=10)
     assert not thread.is_alive()
 
@@ -120,10 +122,12 @@ class TestPlaneParity:
             assert pool_start_method() == "forkserver"
             got = campaign_arrays(wl, **POOL)
         assert_same(got, serial[name])
-        assert owned_segment_names() == []
 
-    def test_dist_matches_serial(self, name, serial, dist_plane):
-        got = campaign_arrays(build(name), executor="dist", dist=dist_plane)
+    def test_dist_matches_serial(self, name, serial, dist_node):
+        plane, agent = dist_node
+        served = agent.leases_served
+        got = campaign_arrays(build(name), dist=plane)
+        assert agent.leases_served > served  # ``dist=`` alone selects it
         assert_same(got, serial[name])
 
 
@@ -140,7 +144,6 @@ class TestSpeclessTape:
         np.testing.assert_array_equal(got.outcomes, want.outcomes)
         np.testing.assert_array_equal(got.injected_errors,
                                       want.injected_errors)
-        assert owned_segment_names() == []
 
 
 #: marker file of :func:`_outcomes_killing_once`; set by RECOVERY_SCRIPT
@@ -149,8 +152,10 @@ _TASK_OUTCOMES = campaign_mod._task_outcomes
 
 
 def _outcomes_killing_once(chunk):
-    """Phase-A task whose first call in a pool worker kills that worker."""
-    if multiprocessing.parent_process() is not None \
+    """Phase-A task whose first call in a forked pool worker kills that
+    worker (forkserver workers import this module afresh, unmarked)."""
+    if KILL_MARKER is not None \
+            and multiprocessing.parent_process() is not None \
             and not os.path.exists(KILL_MARKER):
         open(KILL_MARKER, "w").close()
         os.kill(os.getpid(), signal.SIGKILL)
@@ -171,11 +176,20 @@ bare = CfgWorkload(program=build_countdown(), tolerance=0.5,
 serial = core.run_campaign(bare, mode="exhaustive").exhaustive
 here.KILL_MARKER = sys.argv[1]
 campaign._task_outcomes = here._outcomes_killing_once
+methods = []
+
+class Recording(campaign.ProcessPoolCampaignExecutor):
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, **kwargs)
+        methods.append(self.start_method)
+
+campaign.ProcessPoolCampaignExecutor = Recording
 assert threading.active_count() == 1
 result = core.run_campaign(bare, mode="exhaustive", n_workers=2,
                            retry_policy=RetryPolicy(max_retries=2))
 health = result.health
 assert (health.worker_deaths, health.pool_rebuilds) == (1, 1), health
+assert methods == ["fork", "fork"], methods
 assert not health.degraded_to_serial
 np.testing.assert_array_equal(result.exhaustive.outcomes, serial.outcomes)
 np.testing.assert_array_equal(result.exhaustive.injected_errors,
@@ -186,10 +200,46 @@ np.testing.assert_array_equal(result.exhaustive.injected_errors,
 class TestRecovery:
     def test_rebuilt_pool_forks_again(self, tmp_path):
         """A worker death in a one-thread campaign rebuilds the pool by
-        ``fork``: a spec-less CFG workload, which the forkserver cannot
-        rebuild, finishes bit-identical to serial."""
+        ``fork``, and the campaign finishes bit-identical to serial."""
         run_fresh(RECOVERY_SCRIPT, str(tmp_path / "killed"))
         assert (tmp_path / "killed").exists()
+
+
+def _die(_chunk):
+    os.kill(os.getpid(), signal.SIGKILL)
+
+
+class TestForkserverTeardown:
+    """A campaign's executor leaves no live worker behind, whatever ends
+    the campaign; a second thread makes its workers start from the
+    forkserver."""
+
+    def test_normal_run_leaves_no_child(self, cg_tiny):
+        before = set(multiprocessing.active_children())
+        with extra_thread(), campaign_mod._campaign_executor(
+                cg_tiny, 2) as pool:
+            assert pool_start_method() == "forkserver"
+            chunks = campaign_mod._chunk_flats(cg_tiny,
+                                               np.arange(64), 1 << 14)
+            pool.run(campaign_mod._task_outcomes, chunks)
+            assert set(multiprocessing.active_children()) > before
+        assert set(multiprocessing.active_children()) <= before
+
+    def test_killed_worker_leaves_no_child(self, cg_tiny):
+        before = set(multiprocessing.active_children())
+        with pytest.raises(BrokenProcessPool), extra_thread():
+            with campaign_mod._campaign_executor(cg_tiny, 2) as pool:
+                pool.run(_die, [np.arange(4)])
+        assert set(multiprocessing.active_children()) <= before
+
+    def test_keyboard_interrupt_leaves_no_child(self, cg_tiny):
+        before = set(multiprocessing.active_children())
+        with pytest.raises(KeyboardInterrupt), extra_thread():
+            with campaign_mod._campaign_executor(cg_tiny, 2) as pool:
+                pool.run(campaign_mod._task_outcomes, [np.arange(4)])
+                assert set(multiprocessing.active_children()) > before
+                raise KeyboardInterrupt  # user hits ^C mid-campaign
+        assert set(multiprocessing.active_children()) <= before
 
 
 class _CountingPool(campaign_mod.ProcessPoolCampaignExecutor):

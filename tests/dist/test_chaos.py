@@ -87,7 +87,7 @@ class TestSigkillNode:
                 watcher = _ChunkWatcher(checkpoint_dir, victim)
                 watcher.start()
                 result = core.run_campaign(wl, core.CampaignConfig(
-                    mode="exhaustive", executor="dist", dist=plane,
+                    mode="exhaustive", dist=plane,
                     batch_budget=budget,
                     checkpoint=CampaignCheckpoint(checkpoint_dir, wl),
                     retry_policy=RetryPolicy(max_retries=4,
@@ -146,7 +146,7 @@ class TestSigkillNode:
                     target=lambda: rejoined.append(rejoin()), daemon=True)
                 spawner.start()
                 result = core.run_campaign(cg_tiny, core.CampaignConfig(
-                    mode="exhaustive", executor="dist", dist=plane,
+                    mode="exhaustive", dist=plane,
                     batch_budget=1 << 21,
                     checkpoint=CampaignCheckpoint(checkpoint_dir, cg_tiny),
                     retry_policy=RetryPolicy(max_retries=4,

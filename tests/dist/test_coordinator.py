@@ -52,7 +52,9 @@ class TestDistConfig:
 
 class TestCampaignConfigWiring:
     def test_dist_executor_requires_plane(self, cg_tiny):
-        with pytest.raises(ValueError, match="dist"):
+        """Only ``dist=plane`` selects the distributed plane; there is no
+        ``executor`` knob to ask for it without one."""
+        with pytest.raises(TypeError, match="executor"):
             core.CampaignConfig(mode="exhaustive", executor="dist")
 
     def test_dist_plane_without_executor_dist_is_fine(self):
@@ -112,13 +114,13 @@ class TestPlaneLifecycle:
 
 
 class TestParity:
-    """executor="dist" is bit-identical to a serial run."""
+    """The distributed plane is bit-identical to a serial run."""
 
     def test_exhaustive_matches_serial(self, cg_tiny, cg_tiny_golden):
         with DistPlane(DistConfig()) as plane:
             _start_nodes(plane, 2)
             result = core.run_campaign(cg_tiny, core.CampaignConfig(
-                mode="exhaustive", executor="dist", dist=plane,
+                mode="exhaustive", dist=plane,
                 batch_budget=1 << 20))
         np.testing.assert_array_equal(result.exhaustive.outcomes,
                                       cg_tiny_golden.outcomes)
@@ -132,7 +134,7 @@ class TestParity:
         with DistPlane(DistConfig()) as plane:
             _start_nodes(plane, 2)
             dist = core.run_campaign(fft_tiny, core.CampaignConfig(
-                executor="dist", dist=plane, batch_budget=1 << 20,
+                dist=plane, batch_budget=1 << 20,
                 **config))
         np.testing.assert_array_equal(dist.boundary.thresholds,
                                       serial.boundary.thresholds)
@@ -152,7 +154,7 @@ class TestParity:
                                (lu_tiny, lu_tiny_golden),
                                (cg_tiny, cg_tiny_golden)):
                 result = core.run_campaign(wl, core.CampaignConfig(
-                    mode="exhaustive", executor="dist", dist=plane,
+                    mode="exhaustive", dist=plane,
                     batch_budget=1 << 20))
                 np.testing.assert_array_equal(result.exhaustive.outcomes,
                                               golden.outcomes)
@@ -169,7 +171,7 @@ class TestFailureRecovery:
             killer.start()
             try:
                 result = core.run_campaign(cg_tiny, core.CampaignConfig(
-                    mode="exhaustive", executor="dist", dist=plane,
+                    mode="exhaustive", dist=plane,
                     batch_budget=1 << 18,
                     retry_policy=RetryPolicy(max_retries=4,
                                              backoff_base=0.01)))
@@ -188,7 +190,7 @@ class TestFailureRecovery:
     def test_no_nodes_degrades_to_local(self, cg_tiny, cg_tiny_golden):
         with DistPlane(DistConfig(node_wait_s=0.1)) as plane:
             result = core.run_campaign(cg_tiny, core.CampaignConfig(
-                mode="exhaustive", executor="dist", dist=plane))
+                mode="exhaustive", dist=plane))
         assert result.health is not None
         assert result.health.degraded_to_serial
         np.testing.assert_array_equal(result.exhaustive.outcomes,
@@ -199,7 +201,7 @@ class TestFailureRecovery:
                                   local_fallback=False)) as plane:
             with pytest.raises(NodeDeath):
                 core.run_campaign(cg_tiny, core.CampaignConfig(
-                    mode="exhaustive", executor="dist", dist=plane))
+                    mode="exhaustive", dist=plane))
 
     def test_late_joining_node_is_used(self, cg_tiny, cg_tiny_golden):
         # Nobody is attached when the campaign starts; a node joins
@@ -215,7 +217,7 @@ class TestFailureRecovery:
             thread = threading.Thread(target=join_late, daemon=True)
             thread.start()
             result = core.run_campaign(cg_tiny, core.CampaignConfig(
-                mode="exhaustive", executor="dist", dist=plane,
+                mode="exhaustive", dist=plane,
                 batch_budget=1 << 20))
         assert agent.leases_served > 0
         assert not result.health.degraded_to_serial

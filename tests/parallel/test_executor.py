@@ -137,7 +137,12 @@ class TestStartMethod:
         run_fresh(KILL_SCRIPT)
 
     def test_forkserver_workers_run_the_initializer(self):
-        with ProcessPoolCampaignExecutor(initializer=_init, initargs=(5,),
-                                         n_workers=2,
-                                         start_method="forkserver") as pool:
+        with extra_thread(), ProcessPoolCampaignExecutor(
+                initializer=_init, initargs=(5,), n_workers=2) as pool:
+            assert pool.start_method == "forkserver"
             assert pool.run(_square_plus_state, [0, 1]) == [5, 6]
+
+    def test_start_method_is_not_an_argument(self):
+        """The thread count picks the start method; there is no knob."""
+        with pytest.raises(TypeError, match="start_method"):
+            ProcessPoolCampaignExecutor(n_workers=2, start_method="fork")

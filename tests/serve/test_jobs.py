@@ -9,6 +9,7 @@ import time
 import numpy as np
 import pytest
 
+from repro import kernels
 from repro.core.boundary import exhaustive_boundary
 from repro.io.store import load_boundary
 from repro.serve.jobs import (
@@ -39,6 +40,31 @@ def manager(tmp_path):
     m.close(wait=False)
 
 
+class TestBuildConfig:
+    def test_executor_option_selects_the_plane(self, tmp_path):
+        """``options.executor`` maps onto ``dist`` and ``n_workers``."""
+        plane = object()  # only its identity is read here
+        m = JobManager(tmp_path / "svc", dist_plane=plane)
+        workload = kernels.build("cg", **CG_PARAMS)
+
+        def config(executor):
+            request = JobRequest(kernel="cg", params=CG_PARAMS,
+                                 mode="exhaustive",
+                                 options={"n_workers": 2,
+                                          "executor": executor})
+            return m._build_config(request, tmp_path / "job", workload,
+                                   None)
+
+        try:
+            auto, serial, dist = (config(kind)
+                                  for kind in ("auto", "serial", "dist"))
+            assert (auto.n_workers, auto.dist) == (2, None)
+            assert (serial.n_workers, serial.dist) == (None, None)
+            assert (dist.n_workers, dist.dist) == (2, plane)
+        finally:
+            m.close(wait=False)
+
+
 class TestJobRequest:
     def test_unknown_mode_rejected(self):
         with pytest.raises(ValueError, match="unknown job mode"):
@@ -66,6 +92,17 @@ class TestJobRequest:
         with pytest.raises(ValueError, match="autotune"):
             JobRequest(kernel="cg", mode="exhaustive",
                        options={"autotune": True})
+
+    def test_dist_rejected_for_compositional_modes(self):
+        """Dist nodes run only phase-A and phase-B tasks, so modes that
+        run section tasks fail at submit, not on their first lease."""
+        for mode, extra in (("compose", {}),
+                            ("optimize", {"target_sdc": 0.4})):
+            with pytest.raises(ValueError, match="executor"):
+                JobRequest(kernel="cg", mode=mode,
+                           options={"executor": "dist", **extra})
+        JobRequest(kernel="cg", mode="exhaustive",
+                   options={"executor": "dist"})
 
     def test_mode_specific_option_does_not_leak(self):
         # sampling_rate belongs to "sample", not "exhaustive"

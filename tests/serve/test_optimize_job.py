@@ -22,6 +22,7 @@ from repro.optimize import (
     synthesize,
 )
 from repro.serve import ServiceClient, ServiceError
+from repro.serve import jobs as jobs_mod
 from repro.serve.jobs import JobManager, JobRequest
 
 CG_PARAMS = {"n": 8, "iters": 8}
@@ -85,6 +86,27 @@ class TestOptimizeLifecycle:
         chosen = summary["chosen"]
         assert chosen["residual_sdc"] <= 0.4
         assert chosen["cost"] <= greedy["cost"] + 1e-12
+
+    def test_common_options_reach_the_campaign(self, manager, monkeypatch):
+        """``batch_budget``, ``max_retries`` and ``task_timeout`` govern an
+        optimize job's compositional campaign, as on every other mode."""
+        seen = []
+
+        def capture(workload, config):
+            seen.append(config)
+            return core.run_campaign(workload, config)
+
+        monkeypatch.setattr(jobs_mod, "run_campaign", capture)
+        job = manager.submit(optimize_request(
+            batch_budget=1 << 20, max_retries=3, task_timeout=60.0,
+            generations=2))
+        final = manager.wait(job["id"], timeout=300)
+        assert final["state"] == "done", final.get("error")
+        (config,) = seen
+        assert config.mode == "compositional"
+        assert config.batch_budget == 1 << 20
+        assert config.retry_policy.max_retries == 3
+        assert config.retry_policy.task_timeout == 60.0
 
     def test_search_checkpoint_written(self, manager):
         job = manager.submit(optimize_request())

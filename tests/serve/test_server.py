@@ -10,7 +10,7 @@ import pytest
 
 import repro
 from repro.obs.metrics import METRICS
-from repro.serve import ServiceError, create_server
+from repro.serve import ServiceClient, ServiceError, create_server
 
 from .conftest import CG_SAMPLE
 
@@ -105,6 +105,26 @@ class TestJobRoutes:
                           options={"executor": "threads"})
         assert err.value.status == 400
         assert "unknown executor" in err.value.message
+
+    def test_dist_for_compositional_modes_is_400(self, tmp_path):
+        """A service holding a plane still refuses dist for the modes
+        whose section tasks its nodes cannot run."""
+        server = create_server(tmp_path / "svc", dist_port=0)
+        thread = threading.Thread(target=server.serve_forever, daemon=True)
+        thread.start()
+        try:
+            client = ServiceClient(f"http://127.0.0.1:{server.port}")
+            for mode, extra in (("compose", {}),
+                                ("optimize", {"target_sdc": 0.4})):
+                with pytest.raises(ServiceError) as err:
+                    client.submit("cg", {"n": 8}, mode=mode,
+                                  options={"executor": "dist", **extra})
+                assert err.value.status == 400
+                assert "dist" in err.value.message
+            assert client.jobs() == []
+        finally:
+            server.close()
+            thread.join(timeout=10)
 
     def test_unknown_job_maps_to_404(self, client):
         with pytest.raises(ServiceError) as err:
