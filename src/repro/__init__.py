@@ -18,53 +18,28 @@ Quickstart::
     print(predictor.predicted_sdc_ratio(result.boundary))
 """
 
-# Defined before the subpackage imports: repro.serve reads it back at
-# import time for the /healthz and --version surfaces.
 __version__ = "1.2.0"
 
-from . import analysis, compose, core, engine, io, kernels, obs, parallel, serve
-from .compose import ComposeConfig, CompositionalCampaignResult
-from .core import (
-    BoundaryPredictor,
-    CampaignConfig,
-    CampaignResult,
-    FaultToleranceBoundary,
-    ProgressiveConfig,
-    evaluate_boundary,
-    exhaustive_boundary,
-    infer_boundary,
-    make_replayer,
-    run_campaign,
-)
-from .engine import Outcome, TraceBuilder, golden_run
-from .kernels import Workload, build
+# Every name below resolves on first use (PEP 562): importing ``repro``
+# loads no subpackage, so each CLI command pays only for its own layers.
+from ._lazy import lazy_exports
 
-__all__ = [
-    "BoundaryPredictor",
-    "CampaignConfig",
-    "CampaignResult",
-    "ComposeConfig",
-    "CompositionalCampaignResult",
-    "FaultToleranceBoundary",
-    "Outcome",
-    "ProgressiveConfig",
-    "TraceBuilder",
-    "Workload",
-    "__version__",
-    "analysis",
-    "build",
-    "compose",
-    "core",
-    "engine",
-    "evaluate_boundary",
-    "exhaustive_boundary",
-    "golden_run",
-    "infer_boundary",
-    "io",
-    "kernels",
-    "make_replayer",
-    "obs",
-    "parallel",
-    "run_campaign",
-    "serve",
-]
+__getattr__, __dir__, __all__ = lazy_exports(__name__, globals(), {
+    ".compose": ("ComposeConfig", "CompositionalCampaignResult"),
+    ".core": (
+        "BoundaryPredictor",
+        "CampaignConfig",
+        "CampaignResult",
+        "FaultToleranceBoundary",
+        "ProgressiveConfig",
+        "evaluate_boundary",
+        "exhaustive_boundary",
+        "infer_boundary",
+        "make_replayer",
+        "run_campaign",
+    ),
+    ".engine": ("Outcome", "TraceBuilder", "golden_run"),
+    ".kernels": ("Workload", "build"),
+})
+__all__ += ["__version__", "analysis", "compose", "core", "engine", "io",
+            "kernels", "obs", "parallel", "serve"]

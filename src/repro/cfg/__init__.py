@@ -7,38 +7,20 @@ control paths under a deterministic ``max_steps`` hang guard.  See
 DESIGN.md §13.
 """
 
-from .program import CfgBlock, CfgProgram, TermKind, Terminator
-from .interpreter import CfgGoldenTrace, cfg_golden_run
-from .builder import CfgBuilder, CfgVal
-from .replay import CfgLaneReplayer, CfgReplayBatch
-from .workload import CfgWorkload, is_cfg_workload
-from .lower import lower_program, lower_workload
-from .dataflow import (
-    ReachingDefinitions,
-    block_use_def,
-    edge_live_widths,
-    liveness,
-    reaching_definitions,
-)
+from .._lazy import lazy_exports
 
-__all__ = [
-    "CfgBlock",
-    "CfgBuilder",
-    "CfgGoldenTrace",
-    "CfgLaneReplayer",
-    "CfgProgram",
-    "CfgReplayBatch",
-    "CfgVal",
-    "CfgWorkload",
-    "ReachingDefinitions",
-    "TermKind",
-    "Terminator",
-    "block_use_def",
-    "cfg_golden_run",
-    "edge_live_widths",
-    "is_cfg_workload",
-    "liveness",
-    "lower_program",
-    "lower_workload",
-    "reaching_definitions",
-]
+__getattr__, __dir__, __all__ = lazy_exports(__name__, globals(), {
+    ".builder": ("CfgBuilder", "CfgVal"),
+    ".dataflow": (
+        "ReachingDefinitions",
+        "block_use_def",
+        "edge_live_widths",
+        "liveness",
+        "reaching_definitions",
+    ),
+    ".interpreter": ("CfgGoldenTrace", "cfg_golden_run"),
+    ".lower": ("lower_program", "lower_workload"),
+    ".program": ("CfgBlock", "CfgProgram", "TermKind", "Terminator"),
+    ".replay": ("CfgLaneReplayer", "CfgReplayBatch"),
+    ".workload": ("CfgWorkload", "is_cfg_workload"),
+})

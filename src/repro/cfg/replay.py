@@ -35,6 +35,7 @@ import numpy as np
 
 from ..engine.batch import PropagationSink, ReplayBatch
 from ..engine.bitflip import flip_bits
+from ..engine.classify import OutputComparator, classify_batch
 from ..engine.plan import make_step, operand_rows, run_steps
 from ..engine.program import Opcode
 from ..obs import metrics as _metrics
@@ -143,6 +144,17 @@ class CfgLaneReplayer:
         with np.errstate(invalid="ignore", over="ignore"):
             corrupted = flip_bits(self._gold[sites], bits)
         return self._replay_corrupted(sites, bits, corrupted, sink)
+
+    def replay_outcomes(
+        self,
+        sites: np.ndarray,
+        bits: np.ndarray,
+        comparator: OutputComparator,
+    ) -> tuple[np.ndarray, np.ndarray]:
+        """Phase A: ``(outcomes, injected_errors)`` of :meth:`replay`, the
+        entry point the tape replayer runs in its workspace."""
+        batch = self.replay(sites, bits)
+        return classify_batch(batch, comparator), batch.injected_errors
 
     def replay_values(
         self,

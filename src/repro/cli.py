@@ -54,9 +54,10 @@ import os
 import sys
 from pathlib import Path
 
-import numpy as np
-
-from . import __version__, analysis, core, io as rio, kernels
+# ``core`` and ``io`` resolve their names on first use (PEP 562), so the
+# module level imports no layer: each command imports only what it runs
+# and ``repro <command> --help`` never loads NumPy.
+from . import __version__, core, io as rio
 
 __all__ = ["main", "build_parser"]
 
@@ -82,8 +83,10 @@ def _parse_params(pairs: list[str]) -> dict:
     return params
 
 
-def _workload(args) -> kernels.Workload:
-    return kernels.build(args.kernel, **_parse_params(args.param))
+def _workload(args):
+    from .kernels import build
+
+    return build(args.kernel, **_parse_params(args.param))
 
 
 def _check_resume(args) -> None:
@@ -537,12 +540,16 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _cmd_kernels(args, out) -> int:
-    for name in kernels.available_kernels():
+    from .kernels import available_kernels
+
+    for name in available_kernels():
         print(name, file=out)
     return 0
 
 
 def _cmd_inspect(args, out) -> int:
+    import numpy as np
+
     from .cfg.workload import is_cfg_workload
 
     wl = _workload(args)
@@ -624,6 +631,8 @@ def _cmd_inspect(args, out) -> int:
 
 
 def _cmd_disasm(args, out) -> int:
+    import numpy as np
+
     from .cfg.workload import is_cfg_workload
     from .engine import disassemble
     from .engine.disasm import format_instruction
@@ -675,6 +684,8 @@ def _disasm_cfg(args, wl, out) -> int:
     ``--start/--stop`` windows and ``--boundary`` thresholds are dynamic-row
     concepts (a static CFG row executes many times), so they do not apply.
     """
+    import numpy as np
+
     from .cfg.program import TermKind
     from .engine.disasm import (disassemble_cfg, format_cfg_row,
                                 format_cfg_terminator)
@@ -809,6 +820,8 @@ def _cmd_adaptive(args, out) -> int:
 
 
 def _cmd_combined(args, out) -> int:
+    import numpy as np
+
     wl = _workload(args)
     result = core.run_combined(
         wl, np.random.default_rng(args.seed),
@@ -829,6 +842,8 @@ def _cmd_combined(args, out) -> int:
 
 
 def _cmd_report(args, out) -> int:
+    from .analysis import region_means
+
     wl = _workload(args)
     boundary = rio.load_boundary(args.boundary)
     predictor = core.BoundaryPredictor(wl.trace)
@@ -839,7 +854,7 @@ def _cmd_report(args, out) -> int:
     print(f"boundary coverage: {stats['covered_fraction']:.2%} of sites "
           f"({stats['exact_fraction']:.2%} exact)", file=out)
     print(f"\ntop {args.top} regions by predicted SDC ratio:", file=out)
-    rows = analysis.region_means(wl.program, per_site)
+    rows = region_means(wl.program, per_site)
     for name, mean, count in sorted(rows, key=lambda r: -r[1])[:args.top]:
         print(f"  {name:24s} {mean:8.2%}  ({count} sites)", file=out)
     if args.golden:
@@ -853,6 +868,8 @@ def _cmd_report(args, out) -> int:
 
 
 def _cmd_validate(args, out) -> int:
+    import numpy as np
+
     wl = _workload(args)
     boundary = rio.load_boundary(args.boundary)
     train = rio.load_sampled(args.sampled)
@@ -885,6 +902,8 @@ def _cmd_fullreport(args, out) -> int:
 
 
 def _cmd_protect(args, out) -> int:
+    import numpy as np
+
     if (args.budget is None) == (args.target is None):
         raise SystemExit("specify exactly one of --budget or --target")
     wl = _workload(args)
@@ -1342,7 +1361,7 @@ def _cmd_query(args, out) -> int:
     client = _service_client(args)
     key = args.key
     if key is None and args.kernel is not None:
-        wl = kernels.build(args.kernel, **_parse_params(args.param))
+        wl = _workload(args)
         key = workload_key(wl.spec, wl.tolerance, wl.norm)
     try:
         if key is None:

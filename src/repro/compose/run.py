@@ -110,12 +110,12 @@ class CompositionalCampaignResult(CampaignResult):
 def _task_section(args: tuple) -> dict:
     """Pool task: campaign + probe one section, return its summary arrays.
 
-    Reads the worker-side workload/replayer globals the campaign
+    Reads the worker-side workload/replayer state the campaign
     executors initialize (:mod:`repro.core.campaign`); returns the
     flattened-array form so the payload pickles cheaply.
     """
     index, start, end, name, key, probe_eps, batch_budget = args
-    wl, rep = _campaign._WL, _campaign._REPLAYER
+    wl, rep = _campaign._worker_state()
     section = Section(index=index, start=start, end=end, name=name)
     with span("compose.section", section=name, start=start, end=end):
         summary = summarize_section(wl, rep, section, probe_eps,

@@ -1,115 +1,71 @@
 """The paper's contribution: fault tolerance boundary construction,
 inference, sampling strategies, campaign drivers and evaluation metrics."""
 
-from .baselines import (
-    PilotGroupingResult,
-    StatisticalEstimate,
-    pilot_grouping_campaign,
-    site_groups,
-    statistical_sdc_estimate,
-)
-from .boundary import FaultToleranceBoundary, exhaustive_boundary
-from .checkpoint import CampaignCheckpoint, CheckpointMismatchError
-from .campaign import (
-    AdaptiveResult,
-    CampaignConfig,
-    CampaignResult,
-    ExhaustiveCampaignResult,
-    MonteCarloCampaignResult,
-    SampleCampaignResult,
-    infer_boundary,
-    make_replayer,
-    run_campaign,
-)
-from .combined import CombinedResult, run_combined
-from .confidence import HoldoutEstimate, holdout_validation, wilson_interval
-from .detectors import (
-    DetectorPlan,
-    derive_ranges,
-    detector_plan,
-    evaluate_detectors,
-)
-from .session import CampaignSession
-from .experiment import ExhaustiveResult, SampledResult, SampleSpace
-from .inference import ThresholdAggregator, exact_site_thresholds
-from .metrics import (
-    PredictionQuality,
-    TrialStats,
-    delta_sdc_per_site,
-    evaluate_boundary,
-    precision_recall,
-    sdc_ratio,
-    uncertainty,
-)
-from .prediction import BoundaryPredictor
-from .protection import (
-    ProtectionPlan,
-    plan_by_budget,
-    plan_by_target,
-    validate_plan,
-)
-from .reporting import format_percent, format_series, format_table, sparkline
-from .sampling import (
-    ProgressiveConfig,
-    ProgressiveSampler,
-    bias_probabilities,
-    biased_sample,
-    uniform_sample,
-)
+from .._lazy import lazy_exports
 
-__all__ = [
-    "AdaptiveResult",
-    "BoundaryPredictor",
-    "CampaignCheckpoint",
-    "CampaignConfig",
-    "CampaignResult",
-    "CampaignSession",
-    "CheckpointMismatchError",
-    "CombinedResult",
-    "DetectorPlan",
-    "ExhaustiveCampaignResult",
-    "ExhaustiveResult",
-    "FaultToleranceBoundary",
-    "HoldoutEstimate",
-    "MonteCarloCampaignResult",
-    "SampleCampaignResult",
-    "PilotGroupingResult",
-    "PredictionQuality",
-    "StatisticalEstimate",
-    "ProgressiveConfig",
-    "ProgressiveSampler",
-    "ProtectionPlan",
-    "SampleSpace",
-    "SampledResult",
-    "ThresholdAggregator",
-    "TrialStats",
-    "bias_probabilities",
-    "biased_sample",
-    "delta_sdc_per_site",
-    "derive_ranges",
-    "detector_plan",
-    "evaluate_boundary",
-    "evaluate_detectors",
-    "exact_site_thresholds",
-    "exhaustive_boundary",
-    "format_percent",
-    "format_series",
-    "format_table",
-    "holdout_validation",
-    "infer_boundary",
-    "make_replayer",
-    "pilot_grouping_campaign",
-    "plan_by_budget",
-    "plan_by_target",
-    "precision_recall",
-    "run_campaign",
-    "run_combined",
-    "sdc_ratio",
-    "site_groups",
-    "sparkline",
-    "statistical_sdc_estimate",
-    "uncertainty",
-    "uniform_sample",
-    "validate_plan",
-    "wilson_interval",
-]
+__getattr__, __dir__, __all__ = lazy_exports(__name__, globals(), {
+    ".baselines": (
+        "PilotGroupingResult",
+        "StatisticalEstimate",
+        "pilot_grouping_campaign",
+        "site_groups",
+        "statistical_sdc_estimate",
+    ),
+    ".boundary": ("FaultToleranceBoundary", "exhaustive_boundary"),
+    ".campaign": (
+        "AdaptiveResult",
+        "CampaignConfig",
+        "CampaignResult",
+        "ExhaustiveCampaignResult",
+        "MonteCarloCampaignResult",
+        "SampleCampaignResult",
+        "infer_boundary",
+        "make_replayer",
+        "run_campaign",
+    ),
+    ".checkpoint": ("CampaignCheckpoint", "CheckpointMismatchError"),
+    ".combined": ("CombinedResult", "run_combined"),
+    ".confidence": (
+        "HoldoutEstimate",
+        "holdout_validation",
+        "wilson_interval",
+    ),
+    ".detectors": (
+        "DetectorPlan",
+        "derive_ranges",
+        "detector_plan",
+        "evaluate_detectors",
+    ),
+    ".experiment": ("ExhaustiveResult", "SampledResult", "SampleSpace"),
+    ".inference": ("ThresholdAggregator", "exact_site_thresholds"),
+    ".metrics": (
+        "PredictionQuality",
+        "TrialStats",
+        "delta_sdc_per_site",
+        "evaluate_boundary",
+        "precision_recall",
+        "sdc_ratio",
+        "uncertainty",
+    ),
+    ".prediction": ("BoundaryPredictor",),
+    ".protection": (
+        "ProtectionPlan",
+        "plan_by_budget",
+        "plan_by_target",
+        "validate_plan",
+    ),
+    ".reporting": (
+        "format_percent",
+        "format_series",
+        "format_table",
+        "sparkline",
+    ),
+    ".sampling": (
+        "ProgressiveConfig",
+        "ProgressiveSampler",
+        "bias_probabilities",
+        "biased_sample",
+        "uniform_sample",
+    ),
+    ".session": ("CampaignSession",),
+})

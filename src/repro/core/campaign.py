@@ -53,6 +53,7 @@ across pool workers.  All of it is no-op while disabled.
 
 from __future__ import annotations
 
+import threading
 import time
 from contextlib import contextmanager, nullcontext
 from dataclasses import dataclass, field, replace
@@ -63,7 +64,7 @@ from typing import Any, Callable
 import numpy as np
 
 from ..engine.batch import BatchReplayer, lanes_for_budget, make_replayer
-from ..engine.classify import Outcome, classify_batch
+from ..engine.classify import Outcome
 from ..kernels.workload import Workload
 from ..obs import metrics as _metrics
 from ..obs.trace import TRACER, rss_peak_kb, span
@@ -106,22 +107,28 @@ CAMPAIGN_MODES = ("exhaustive", "sample", "monte_carlo", "adaptive",
                   "compositional")
 
 # --------------------------------------------------------------------------
-# Worker-side state.  Every local worker points these globals at its
-# campaign's workload through _init_worker_direct: the serial plane in
-# this process, forked pool workers on the workload they inherit, and
-# forkserver workers on the workload unpickled from the pool's initargs.
+# Worker-side state.  Every worker points this thread's state at its
+# campaign's workload through _init_worker_direct: the serial plane on
+# the campaign's own thread, forked pool workers on the workload they
+# inherit, forkserver workers on the workload unpickled from the pool's
+# initargs, and each lease thread of a dist node on the workload it was
+# welcomed with.  The state is per thread, so campaigns on several
+# threads of one process (serve job threads) never see each other's.
 # --------------------------------------------------------------------------
 
-_WL: Workload | None = None
-_REPLAYER: BatchReplayer | None = None
+_WORKER = threading.local()
 
 
 def _init_worker_direct(workload: Workload) -> None:
-    """Initializer of every local worker and of dist nodes: use the
-    workload in this process's memory."""
-    global _WL, _REPLAYER
-    _WL = workload
-    _REPLAYER = make_replayer(workload.trace)
+    """Initializer of every local worker and of dist node lease threads:
+    use the workload in this process's memory."""
+    _WORKER.workload = workload
+    _WORKER.replayer = make_replayer(workload.trace)
+
+
+def _worker_state() -> tuple[Workload, BatchReplayer]:
+    """This thread's ``(workload, replayer)`` (see _init_worker_direct)."""
+    return _WORKER.workload, _WORKER.replayer
 
 
 def _is_cfg_workload(workload: Workload) -> bool:
@@ -223,21 +230,20 @@ def _campaign_executor(workload: Workload, n_workers: int | None,
 
 def _task_outcomes(flat_chunk: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Phase A task: outcomes + injected errors of one experiment chunk."""
-    wl, rep = _WL, _REPLAYER
+    wl, rep = _worker_state()
     metered = _metrics.METRICS.enabled
     if metered:
         t0 = time.perf_counter()
     space = SampleSpace.of_program(wl.program)
     instrs, bits = space.instructions_of(flat_chunk)
-    batch = rep.replay(instrs, bits)
-    outcomes = classify_batch(batch, wl.comparator)
+    outcomes, injected = rep.replay_outcomes(instrs, bits, wl.comparator)
     if metered:
         _metrics.observe("phase_a.chunk_seconds", time.perf_counter() - t0)
         _metrics.inc("experiments.completed", len(flat_chunk))
         peak = rss_peak_kb()
         if peak is not None:
             _metrics.set_gauge("rss.peak_kb", peak)
-    return outcomes, batch.injected_errors
+    return outcomes, injected
 
 
 def _task_aggregate(
@@ -245,7 +251,7 @@ def _task_aggregate(
 ) -> tuple[np.ndarray, np.ndarray, int]:
     """Phase B task: stream one masked-experiment chunk into Algorithm 1."""
     flat_chunk, caps, rel_info_threshold = args
-    wl, rep = _WL, _REPLAYER
+    wl, rep = _worker_state()
     metered = _metrics.METRICS.enabled
     if metered:
         t0 = time.perf_counter()

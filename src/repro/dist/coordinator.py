@@ -556,7 +556,14 @@ class DistExecutor:
 
     def _grant_leases(self, kind, epoch, tasks, keys, todo, leases,
                       live) -> None:
-        """Hand pending chunks to nodes with spare capacity."""
+        """Hand pending chunks to nodes with spare capacity.
+
+        A lease is recorded on its node, under the plane lock and only
+        while the node is alive, *before* its frame is sent: a node
+        killed at any point after that reports the lease in its death
+        event, so the chunk is requeued at once instead of waiting out
+        its TTL on a dead node.
+        """
         while todo:
             candidates = [n for n in live
                           if n.alive and len(n.inflight) < n.n_workers]
@@ -565,12 +572,28 @@ class DistExecutor:
             node = min(candidates, key=lambda n: len(n.inflight))
             index, attempts = todo.popleft()
             lease_id = f"L{epoch}-{next(self._seq)}"
+            with self._plane._lock:
+                granted = node.alive
+                if granted:
+                    node.inflight.add(lease_id)
+            if not granted:  # died since the candidates were listed
+                live.remove(node)
+                todo.appendleft((index, attempts))
+                continue
+            leases[lease_id] = _Lease(
+                lease_id=lease_id, index=index, attempts=attempts,
+                node_id=node.node_id, key=keys[index],
+                deadline=time.monotonic() + self._plane.config.lease_ttl_s)
             msg = {"type": "lease", "lease_id": lease_id, "epoch": epoch,
                    "kind": kind, "key": keys[index],
                    "task": self._encode_task(kind, tasks[index])}
             try:
                 node.send(msg)
             except OSError:
+                # Undo the record: a death event naming it finds no lease.
+                del leases[lease_id]
+                with self._plane._lock:
+                    node.inflight.discard(lease_id)
                 self._plane._kill_node(node.node_id, "lease send failed")
                 live.remove(node)
                 todo.appendleft((index, attempts))
@@ -580,12 +603,6 @@ class DistExecutor:
                 self.health.retries += 1
                 _inc("resilience.retries")
             _inc("dist.leases_granted")
-            lease = _Lease(lease_id=lease_id, index=index, attempts=attempts,
-                           node_id=node.node_id, key=keys[index],
-                           deadline=time.monotonic()
-                           + self._plane.config.lease_ttl_s)
-            leases[lease_id] = lease
-            node.inflight.add(lease_id)
 
     def _pump_events(self, task_kind, epoch, key_to_index, leases, todo,
                      waiting, last_failure, completed, timeout) -> None:

@@ -27,6 +27,8 @@ import threading
 from concurrent.futures import ThreadPoolExecutor
 from typing import Any
 
+# Imported when the node starts, so its first lease pays no import.
+from ..core import campaign as _campaign
 from ..kernels.workload import from_spec, workload_key
 from ..parallel.executor import default_workers
 from .protocol import PROTOCOL_VERSION, ProtocolError, recv_msg, send_msg
@@ -150,12 +152,15 @@ class NodeAgent:
                 pass
             return False
 
-        from ..core import campaign as _campaign
-        _campaign._init_worker_direct(workload)
         if self._pool is not None:
             self._pool.shutdown(wait=True)
+        # The golden run and the replay plan happen once, here; each lease
+        # thread then holds its own worker state (replayer and replay
+        # workspace) over them.
+        _campaign.make_replayer(workload.trace)
         self._pool = ThreadPoolExecutor(
-            max_workers=self.n_workers, thread_name_prefix="repro-dist-node")
+            max_workers=self.n_workers, thread_name_prefix="repro-dist-node",
+            initializer=_campaign._init_worker_direct, initargs=(workload,))
         self._workload_key = expected
         return True
 
@@ -166,7 +171,6 @@ class NodeAgent:
 
     def _serve_lease(self, msg: dict) -> None:
         """Execute one lease and stream its result back (worker thread)."""
-        from ..core import campaign as _campaign
         lease_id = msg.get("lease_id")
         kind = msg.get("kind")
         task = msg.get("task") or {}

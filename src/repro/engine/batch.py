@@ -24,15 +24,16 @@ operation order), which is property-tested against the scalar interpreter.
 
 from __future__ import annotations
 
+import threading
+import time
 from dataclasses import dataclass
 from typing import Protocol
-
-import time
 
 import numpy as np
 
 from ..obs import metrics as _metrics
 from .bitflip import flip_bits
+from .classify import OutputComparator, classify_outputs
 from .interpreter import GoldenTrace
 from .plan import plan_for, run_steps
 
@@ -132,6 +133,28 @@ class ReplayBatch:
         return self.diverged_at < self.n_instructions
 
 
+class _Workspace:
+    """Scratch matrices of one thread, reused across its replays.
+
+    :meth:`matrix` hands out a C-contiguous ``(rows, lanes)`` view of a
+    flat buffer that grows to the widest request seen, so a thread
+    replaying chunk after chunk allocates (and page-faults) its buffers
+    once instead of once per chunk.  Nothing handed out by a replay
+    entry point may be such a view: the next call overwrites it.
+    """
+
+    def __init__(self):
+        self._buffers: dict[str, np.ndarray] = {}
+
+    def matrix(self, name: str, rows: int, lanes: int,
+               dtype) -> np.ndarray:
+        size = rows * lanes
+        buf = self._buffers.get(name)
+        if buf is None or buf.size < size:
+            buf = self._buffers[name] = np.empty(size, dtype=dtype)
+        return buf[:size].reshape(rows, lanes)
+
+
 class BatchReplayer:
     """Replays batches of single-bit-flip experiments over one golden trace.
 
@@ -142,6 +165,10 @@ class BatchReplayer:
     and :meth:`sweep_section` run the identity map into the full
     ``(rows, lanes)`` value matrix.  Un-corrupted lanes recompute the
     golden values exactly (same ufuncs, same operand precision).
+
+    One replayer may serve several threads at once.  Outcome-only sweeps
+    run in a per-thread workspace (:class:`_Workspace`); every array a
+    public method returns is a fresh one the caller owns.
     """
 
     def __init__(self, trace: GoldenTrace):
@@ -155,6 +182,14 @@ class BatchReplayer:
         self._outputs = prog.outputs
         self._site_ok = prog.is_site
         self._plan = plan_for(trace)
+        self._out_slots = self._plan.slot[prog.outputs]
+        self._local = threading.local()
+
+    def _workspace(self) -> _Workspace:
+        ws = getattr(self._local, "workspace", None)
+        if ws is None:
+            ws = self._local.workspace = _Workspace()
+        return ws
 
     # ------------------------------------------------------------------ entry
 
@@ -171,6 +206,47 @@ class BatchReplayer:
         per-instruction absolute deviations of the whole batch are streamed
         into it (used for Algorithm 1 aggregation and impact counting).
         """
+        sites, bits, corrupted = self._flip(sites, bits)
+        return self._replay_corrupted(sites, bits, corrupted, sink)
+
+    def replay_outcomes(
+        self,
+        sites: np.ndarray,
+        bits: np.ndarray,
+        comparator: OutputComparator,
+    ) -> tuple[np.ndarray, np.ndarray]:
+        """Phase A: replay and classify, keeping only what phase A keeps.
+
+        Equals ``classify_batch(replay(sites, bits), comparator)`` plus
+        the batch's ``injected_errors``, bit for bit.  The sweep, its
+        outputs and the classifier's temporaries live in this thread's
+        workspace; the returned ``(outcomes, injected_errors)`` arrays are
+        fresh.
+        """
+        sites, bits, corrupted = self._flip(sites, bits)
+        k = sites.size
+        start = int(sites.min())
+        t0 = time.perf_counter() if _metrics.METRICS.enabled else None
+        inj_err, inject = self._prepare_injection(sites, corrupted)
+        diverged_at = np.full(k, self._n, dtype=np.int64)
+        ws = self._workspace()
+        n_out = len(self._outputs)
+        buf = self._sweep_slots(start, k, inject, diverged_at)
+        staged = (None if buf.dtype == np.float64
+                  else ws.matrix("staged", n_out, k, buf.dtype))
+        out = self._outputs_of(buf, start, self._out_slots,
+                               ws.matrix("outputs", n_out, k, np.float64),
+                               staged)
+        if t0 is not None:
+            self._count(k, self._n - start, t0)
+        outcomes = classify_outputs(
+            out, comparator, diverged_at < self._n,
+            scratch=(ws.matrix("diff", n_out, k, np.float64),
+                     ws.matrix("flags", n_out, k, bool)))
+        return outcomes, inj_err
+
+    def _flip(self, sites, bits) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """Validated ``(sites, bits, corrupted values)`` of a bit-flip batch."""
         sites = np.asarray(sites, dtype=np.int64)
         bits = np.asarray(bits, dtype=np.int64)
         if sites.shape != bits.shape or sites.ndim != 1:
@@ -178,7 +254,7 @@ class BatchReplayer:
         self._check_sites(sites)
         with np.errstate(invalid="ignore", over="ignore"):
             corrupted = flip_bits(self._gold[sites], bits)
-        return self._replay_corrupted(sites, bits, corrupted, sink)
+        return sites, bits, corrupted
 
     def replay_values(
         self,
@@ -235,15 +311,15 @@ class BatchReplayer:
     ) -> ReplayBatch:
         k = sites.size
         start = int(sites.min())
-        rows = self._n - start
-        metered = _metrics.METRICS.enabled
-        if metered:
-            t_replay = time.perf_counter()
+        t0 = time.perf_counter() if _metrics.METRICS.enabled else None
 
         inj_err, inject = self._prepare_injection(sites, corrupted)
         diverged_at = np.full(k, self._n, dtype=np.int64)
+        n_out = len(self._outputs)
         if sink is None:
-            out = self._sweep_slots(start, k, inject, diverged_at)
+            buf = self._sweep_slots(start, k, inject, diverged_at)
+            out = self._outputs_of(buf, start, self._out_slots,
+                                   np.empty((n_out, k)))
         else:
             vals = self._sweep_rows(start, self._n, k, inject, None,
                                     diverged_at)
@@ -256,14 +332,10 @@ class BatchReplayer:
             valid = (np.arange(start, self._n, dtype=np.int64)[:, None]
                      < diverged_at[None, :])
             sink.consume(start, abs_diff, valid, sites, bits)
-            out = self._outputs_of(vals, start)
-
-        if metered:
-            _metrics.inc("replay.batches")
-            _metrics.inc("replay.lanes", k)
-            _metrics.inc("replay.instruction_rows", rows * k)
-            _metrics.observe("replay.batch_seconds",
-                             time.perf_counter() - t_replay)
+            out = self._outputs_of(vals, start, self._outputs - start,
+                                   np.empty((n_out, k)))
+        if t0 is not None:
+            self._count(k, self._n - start, t0)
 
         return ReplayBatch(
             sites=sites,
@@ -274,6 +346,13 @@ class BatchReplayer:
             diverged_at=diverged_at,
             n_instructions=self._n,
         )
+
+    @staticmethod
+    def _count(k: int, rows: int, t0: float) -> None:
+        _metrics.inc("replay.batches")
+        _metrics.inc("replay.lanes", k)
+        _metrics.inc("replay.instruction_rows", rows * k)
+        _metrics.observe("replay.batch_seconds", time.perf_counter() - t0)
 
     # ------------------------------------------------------------ sectioned
 
@@ -366,20 +445,23 @@ class BatchReplayer:
         inject: dict[int, tuple[np.ndarray, np.ndarray]],
         diverged_at: np.ndarray,
     ) -> np.ndarray:
-        """Outcome-only sweep over the slot map; returns the outputs.
+        """Outcome-only sweep over the slot map, in this thread's workspace.
 
-        Injections into rows the map skips are dropped: such a row reaches
-        no output and no guard, so it cannot change the outcome.
+        Returns the ``(n_slots, k)`` slot buffer, a workspace view the
+        next sweep on this thread overwrites.  Injections into rows the
+        map skips are dropped: such a row reaches no output and no guard,
+        so it cannot change the outcome.
         """
         plan = self._plan
-        buf = np.empty((plan.n_slots, k), dtype=self.program.dtype)
+        buf = self._workspace().matrix("slots", plan.n_slots, k,
+                                       self.program.dtype)
         live = plan.live_ins(start, slot_map=True)
         buf[plan.slot[live]] = self._gold[live, None]
         hits = [(int(plan.slot_pos[r]), int(plan.slot[r]), *inject[r])
                 for r in sorted(inject) if plan.slot_pos[r] >= 0]
         run_steps(plan.slot_steps, list(buf), plan.first_slot_pos(start),
                   len(plan.slot_steps), self._on_guard(diverged_at), hits)
-        return self._outputs_of(buf, start, plan.slot)
+        return buf
 
     def _sweep_rows(
         self,
@@ -408,20 +490,28 @@ class BatchReplayer:
                   hits)
         return vals
 
-    def _outputs_of(self, buf: np.ndarray, start: int,
-                    slot: np.ndarray | None = None) -> np.ndarray:
-        """``(n_outputs, lanes)`` float64 outputs of one sweep.
+    def _outputs_of(self, buf: np.ndarray, start: int, index: np.ndarray,
+                    out: np.ndarray,
+                    staged: np.ndarray | None = None) -> np.ndarray:
+        """Fill ``out``, the ``(n_outputs, lanes)`` float64 outputs of a sweep.
 
-        Output rows below ``start`` are golden; the rest are read from
-        ``buf`` at their slot, or at ``row - start`` for the identity map.
+        ``index`` is each output's row of ``buf``: its slot for the slot
+        map, ``row - start`` for the identity map.  Output rows below
+        ``start`` are golden; their indices may be out of range, which
+        ``mode="clip"`` tolerates (it also spares ``np.take`` the buffered
+        copy of its default mode) before the golden values replace them.
+        A narrower program dtype is gathered into ``staged`` (same shape,
+        ``buf``'s dtype; fresh when omitted) and widened from there.
         """
-        outs = self._outputs
-        out = np.empty((len(outs), buf.shape[1]), dtype=np.float64)
-        late = outs >= start
-        index = outs[late] - start if slot is None else slot[outs[late]]
-        with np.errstate(invalid="ignore"):
-            out[late] = buf[index]
-        out[~late] = self._gold64[outs[~late], None]
+        if buf.dtype == out.dtype:
+            np.take(buf, index, axis=0, out=out, mode="clip")
+        else:
+            staged = np.take(buf, index, axis=0, out=staged, mode="clip")
+            with np.errstate(invalid="ignore"):  # signalling NaNs widen
+                np.copyto(out, staged)
+        early = self._outputs < start
+        if early.any():
+            out[early] = self._gold64[self._outputs[early], None]
         return out
 
 

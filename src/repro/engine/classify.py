@@ -35,12 +35,15 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from enum import IntEnum
+from typing import TYPE_CHECKING
 
 import numpy as np
 
-from .batch import ReplayBatch
+if TYPE_CHECKING:  # pragma: no cover - typing only
+    from .batch import ReplayBatch
 
-__all__ = ["Outcome", "OutputComparator", "classify_batch", "output_error"]
+__all__ = ["Outcome", "OutputComparator", "classify_batch",
+           "classify_outputs", "output_error"]
 
 
 class Outcome(IntEnum):
@@ -96,20 +99,34 @@ class OutputComparator:
         outputs = np.asarray(outputs, dtype=np.float64)
         if outputs.ndim == 1:
             outputs = outputs[:, None]
+        return self.error_into(outputs, np.empty(outputs.shape),
+                               np.empty(outputs.shape, dtype=bool))[0]
+
+    def error_into(self, outputs: np.ndarray, diff: np.ndarray,
+                   flags: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """``(error, finite)`` per lane of ``(n_out, lanes)`` float64 outputs.
+
+        ``diff`` (float64) and ``flags`` (bool), both shaped like
+        ``outputs``, are overwritten as scratch, so a caller that replays
+        many batches can reuse them; the two returned ``(lanes,)`` arrays
+        are fresh.  ``finite`` is False for lanes with a non-finite output.
+        """
         with np.errstate(invalid="ignore", over="ignore"):
-            diff = np.abs(outputs - self.golden_output[:, None])
+            np.subtract(outputs, self.golden_output[:, None], out=diff)
+            np.abs(diff, out=diff)
             if self.norm == "rel_linf":
-                scale = np.maximum(np.abs(self.golden_output), 1e-30)[:, None]
-                diff = diff / scale
+                scale = np.maximum(np.abs(self.golden_output), 1e-30)
+                np.divide(diff, scale[:, None], out=diff)
             if self.norm == "l2":
-                err = np.sqrt(np.sum(diff * diff, axis=0))
+                np.multiply(diff, diff, out=diff)
+                err = np.sqrt(np.sum(diff, axis=0))
             else:
                 err = diff.max(axis=0)
             err[~np.isfinite(err)] = np.inf
             # A lane containing NaN output must not slip through as finite.
-            bad = ~np.all(np.isfinite(outputs), axis=0)
-            err[bad] = np.inf
-        return err
+            finite = np.all(np.isfinite(outputs, out=flags), axis=0)
+            err[~finite] = np.inf
+        return err, finite
 
     def acceptable(self, outputs: np.ndarray) -> np.ndarray:
         """Boolean per-lane mask of outputs within tolerance."""
@@ -139,16 +156,39 @@ def classify_batch(batch: ReplayBatch, comparator: OutputComparator) -> np.ndarr
     * ``hung`` lanes never produced an output at all; HANG outranks
       everything.
     """
-    outcomes = np.empty(batch.n_lanes, dtype=np.uint8)
-    err = comparator.error(batch.outputs)
-    outcomes[:] = np.where(err <= comparator.tolerance, Outcome.MASKED, Outcome.SDC)
-    path_diverged = getattr(batch, "path_diverged", None)
+    return classify_outputs(np.asarray(batch.outputs, dtype=np.float64),
+                            comparator, batch.diverged,
+                            path_diverged=getattr(batch, "path_diverged",
+                                                  None),
+                            hung=getattr(batch, "hung", None))
+
+
+def classify_outputs(
+    outputs: np.ndarray,
+    comparator: OutputComparator,
+    diverged: np.ndarray,
+    path_diverged: np.ndarray | None = None,
+    hung: np.ndarray | None = None,
+    scratch: tuple[np.ndarray, np.ndarray] | None = None,
+) -> np.ndarray:
+    """:func:`classify_batch` on bare arrays: ``(n_out, lanes)`` float64
+    ``outputs`` plus the per-lane ``diverged`` mask (and the CFG facts).
+
+    ``scratch`` is the ``(diff, flags)`` pair of
+    :meth:`OutputComparator.error_into`, allocated here when omitted.
+    The returned codes are always a fresh array.
+    """
+    if scratch is None:
+        scratch = (np.empty(outputs.shape),
+                   np.empty(outputs.shape, dtype=bool))
+    err, finite = comparator.error_into(outputs, *scratch)
+    outcomes = np.empty(err.size, dtype=np.uint8)
+    outcomes[:] = np.where(err <= comparator.tolerance, Outcome.MASKED,
+                           Outcome.SDC)
     if path_diverged is not None:
         outcomes[path_diverged & (outcomes == Outcome.SDC)] = Outcome.DIVERGED
-    finite = np.all(np.isfinite(batch.outputs), axis=0)
     outcomes[~finite] = Outcome.CRASH
-    outcomes[batch.diverged] = Outcome.DIVERGED
-    hung = getattr(batch, "hung", None)
+    outcomes[diverged] = Outcome.DIVERGED
     if hung is not None:
         outcomes[hung] = Outcome.HANG
     return outcomes

@@ -62,6 +62,13 @@ class GoldenTrace:
         """Storage footprint of the trace — the paper's §5 'overhead' cost."""
         return self.values.nbytes + self.guard_taken.nbytes
 
+    def __getstate__(self) -> dict:
+        # Private memos (the replay plan, see repro.engine.plan.plan_for)
+        # stay out of the pickle: an unpickled trace rebuilds its plan on
+        # first use, which is cheaper than shipping it to every worker.
+        return {k: v for k, v in self.__dict__.items()
+                if not k.startswith("_")}
+
 
 def golden_run(program: Program) -> GoldenTrace:
     """Execute ``program`` fault-free and record every dynamic value."""

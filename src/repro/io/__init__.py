@@ -1,44 +1,30 @@
 """Persistence of campaign artifacts."""
 
-from .programs import load_program, load_workload, save_program, save_workload
-from .store import (
-    CampaignCache,
-    StoreCorruptError,
-    StoreError,
-    StoreNotFoundError,
-    atomic_savez,
-    atomic_write_json,
-    load_boundary,
-    load_exhaustive,
-    load_front,
-    load_plan,
-    load_sampled,
-    save_boundary,
-    save_exhaustive,
-    save_front,
-    save_plan,
-    save_sampled,
-)
+from .._lazy import lazy_exports
 
-__all__ = [
-    "CampaignCache",
-    "StoreCorruptError",
-    "StoreError",
-    "StoreNotFoundError",
-    "atomic_savez",
-    "atomic_write_json",
-    "load_boundary",
-    "load_exhaustive",
-    "load_front",
-    "load_plan",
-    "load_program",
-    "load_sampled",
-    "load_workload",
-    "save_boundary",
-    "save_exhaustive",
-    "save_front",
-    "save_plan",
-    "save_program",
-    "save_sampled",
-    "save_workload",
-]
+__getattr__, __dir__, __all__ = lazy_exports(__name__, globals(), {
+    ".programs": (
+        "load_program",
+        "load_workload",
+        "save_program",
+        "save_workload",
+    ),
+    ".store": (
+        "CampaignCache",
+        "StoreCorruptError",
+        "StoreError",
+        "StoreNotFoundError",
+        "atomic_savez",
+        "atomic_write_json",
+        "load_boundary",
+        "load_exhaustive",
+        "load_front",
+        "load_plan",
+        "load_sampled",
+        "save_boundary",
+        "save_exhaustive",
+        "save_front",
+        "save_plan",
+        "save_sampled",
+    ),
+})

@@ -1,57 +1,36 @@
 """Parallel campaign execution: partitioning, RNG streams, executors,
 fault tolerance."""
 
-from .executor import (
-    CampaignExecutor,
-    ProcessPoolCampaignExecutor,
-    SerialExecutor,
-    default_workers,
-    pool_start_method,
-)
-from .partition import (
-    chunk_balanced_by_cost,
-    chunk_by_size,
-    chunk_evenly,
-    chunk_for_workers,
-)
-from .progress import (
-    CallbackProgress,
-    NullProgress,
-    StderrProgress,
-    as_progress,
-)
-from .resilience import (
-    CampaignExecutionError,
-    CampaignHealth,
-    ResilientExecutor,
-    RetryPolicy,
-    TaskError,
-    TaskTimeout,
-    WorkerDeath,
-)
-from .rng import spawn_generators, trial_generators
+from .._lazy import lazy_exports
 
-__all__ = [
-    "CampaignExecutionError",
-    "CampaignExecutor",
-    "CampaignHealth",
-    "CallbackProgress",
-    "NullProgress",
-    "ProcessPoolCampaignExecutor",
-    "ResilientExecutor",
-    "RetryPolicy",
-    "SerialExecutor",
-    "StderrProgress",
-    "TaskError",
-    "TaskTimeout",
-    "WorkerDeath",
-    "as_progress",
-    "chunk_balanced_by_cost",
-    "chunk_by_size",
-    "chunk_evenly",
-    "chunk_for_workers",
-    "default_workers",
-    "pool_start_method",
-    "spawn_generators",
-    "trial_generators",
-]
+__getattr__, __dir__, __all__ = lazy_exports(__name__, globals(), {
+    ".executor": (
+        "CampaignExecutor",
+        "ProcessPoolCampaignExecutor",
+        "SerialExecutor",
+        "default_workers",
+        "pool_start_method",
+    ),
+    ".partition": (
+        "chunk_balanced_by_cost",
+        "chunk_by_size",
+        "chunk_evenly",
+        "chunk_for_workers",
+    ),
+    ".progress": (
+        "CallbackProgress",
+        "NullProgress",
+        "StderrProgress",
+        "as_progress",
+    ),
+    ".resilience": (
+        "CampaignExecutionError",
+        "CampaignHealth",
+        "ResilientExecutor",
+        "RetryPolicy",
+        "TaskError",
+        "TaskTimeout",
+        "WorkerDeath",
+    ),
+    ".rng": ("spawn_generators", "trial_generators"),
+})

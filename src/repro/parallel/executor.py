@@ -127,8 +127,8 @@ class ProcessPoolCampaignExecutor:
     Parameters
     ----------
     initializer / initargs:
-        Run once in every worker before any task (points the campaign's
-        module globals at its workload; see ``repro.core.campaign``).
+        Run once in every worker before any task (points the worker's
+        state at its campaign's workload; see ``repro.core.campaign``).
         Under ``fork`` the workers receive them unpickled; under
         ``forkserver`` they must pickle.
     n_workers:

@@ -110,6 +110,9 @@ class TestSampledResult:
     def test_duplicate_flat_rejected(self):
         with pytest.raises(ValueError, match="duplicate"):
             self.make([0, 0], [self.M, self.M], [1.0, 1.0])
+        # unsorted, with the duplicates apart
+        with pytest.raises(ValueError, match="duplicate"):
+            self.make([5, 1, 3, 1], [self.M] * 4, [1.0] * 4)
 
     def test_length_mismatch_rejected(self):
         with pytest.raises(ValueError):

@@ -11,6 +11,7 @@ guarantee of the distributed plane.
 from __future__ import annotations
 
 import os
+import signal
 import subprocess
 import sys
 import threading
@@ -40,25 +41,51 @@ def _spawn_node(plane, node_id, workers=2):
 
 class _ChunkWatcher(threading.Thread):
     """SIGKILL ``victim`` once ``checkpoint`` holds >= ``arm_after``
-    completed chunk files, snapshotting their mtimes first."""
+    completed chunk files and the victim holds a lease it has not
+    answered, snapshotting the chunk files' mtimes first.
+
+    A node answers a lease within milliseconds, so a kill at an arbitrary
+    moment often lands after its last result has already left: the
+    coordinator then has nothing to re-run.  The watcher therefore
+    freezes the victim (SIGSTOP), lets the coordinator absorb every
+    result sent before the freeze, and kills only if the victim still
+    holds a lease; otherwise it thaws it (SIGCONT) and tries again.
+    """
+
+    #: time the coordinator gets to absorb results sent before a freeze
+    SETTLE_S = 0.25
 
     def __init__(self, checkpoint: Path, victim: subprocess.Popen,
-                 arm_after: int = 2, timeout: float = 120.0):
+                 plane, node_id: str = "victim", arm_after: int = 2,
+                 timeout: float = 120.0):
         super().__init__(daemon=True)
         self.checkpoint = checkpoint
         self.victim = victim
+        self.plane = plane
+        self.node_id = node_id
         self.arm_after = arm_after
         self.timeout = timeout
         self.survivors: dict[str, int] = {}
         self.killed = False
 
+    def _holds_unanswered_lease(self) -> bool:
+        os.kill(self.victim.pid, signal.SIGSTOP)
+        time.sleep(self.SETTLE_S)
+        held = any(node.inflight for node in self.plane.live_nodes()
+                   if node.node_id == self.node_id)
+        if not held:
+            os.kill(self.victim.pid, signal.SIGCONT)
+        return held
+
     def run(self):
         deadline = time.monotonic() + self.timeout
         while time.monotonic() < deadline:
             chunks = list(self.checkpoint.glob("a-*-chunk-*.npz"))
-            if len(chunks) >= self.arm_after:
-                self.survivors = {p.name: p.stat().st_mtime_ns
-                                  for p in chunks}
+            if len(chunks) >= self.arm_after \
+                    and self._holds_unanswered_lease():
+                self.survivors = {
+                    p.name: p.stat().st_mtime_ns
+                    for p in self.checkpoint.glob("a-*-chunk-*.npz")}
                 self.victim.kill()  # SIGKILL: no goodbye frame
                 self.killed = True
                 return
@@ -84,7 +111,7 @@ class TestSigkillNode:
             survivor = _spawn_node(plane, "survivor")
             try:
                 assert plane.wait_for_nodes(2, timeout=60.0)
-                watcher = _ChunkWatcher(checkpoint_dir, victim)
+                watcher = _ChunkWatcher(checkpoint_dir, victim, plane)
                 watcher.start()
                 result = core.run_campaign(wl, core.CampaignConfig(
                     mode="exhaustive", dist=plane,
@@ -134,7 +161,7 @@ class TestSigkillNode:
             replacement = None
             try:
                 assert plane.wait_for_nodes(1, timeout=60.0)
-                watcher = _ChunkWatcher(checkpoint_dir, victim)
+                watcher = _ChunkWatcher(checkpoint_dir, victim, plane)
                 watcher.start()
 
                 def rejoin():

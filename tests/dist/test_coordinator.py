@@ -163,29 +163,61 @@ class TestParity:
 class TestFailureRecovery:
     def test_node_death_mid_campaign_recovers(self, cg_tiny,
                                               cg_tiny_golden):
-        # Fine-grained chunks so the kill lands mid-campaign; a 0.1s
-        # heartbeat so the death is noticed quickly.
+        # Fine-grained chunks so the node dies mid-campaign; it stops
+        # inside its fifth lease, before answering it, so the death
+        # always lands while the node holds a lease (a timer could land
+        # between leases, when it holds none and nothing is retried).
         with DistPlane(DistConfig(heartbeat_s=0.1)) as plane:
             agents, _ = _start_nodes(plane, 2, n_workers=1)
-            killer = threading.Timer(0.25, agents[0].stop)
-            killer.start()
-            try:
-                result = core.run_campaign(cg_tiny, core.CampaignConfig(
-                    mode="exhaustive", dist=plane,
-                    batch_budget=1 << 18,
-                    retry_policy=RetryPolicy(max_retries=4,
-                                             backoff_base=0.01)))
-            finally:
-                killer.cancel()
+            victim = agents[0]
+            serve, seen = victim._serve_lease, []
+
+            def serve_or_die(msg):
+                seen.append(msg)
+                if len(seen) == 5:
+                    victim.stop()
+                else:
+                    serve(msg)
+
+            victim._serve_lease = serve_or_die
+            result = core.run_campaign(cg_tiny, core.CampaignConfig(
+                mode="exhaustive", dist=plane,
+                batch_budget=1 << 18,
+                retry_policy=RetryPolicy(max_retries=4,
+                                         backoff_base=0.01)))
         health = result.health
         assert health is not None
-        # The timer may fire after the (fast) campaign finished; only
-        # assert parity unconditionally, and health iff the kill landed.
-        if health.node_deaths:
-            assert health.retries >= 1
-            assert "node_deaths" in health.summary()
+        assert health.node_deaths == 1
+        assert health.retries >= 1
+        assert "node_deaths" in health.summary()
         np.testing.assert_array_equal(result.exhaustive.outcomes,
                                       cg_tiny_golden.outcomes)
+
+    def test_node_killed_while_lease_is_sent_requeues_at_once(
+            self, cg_tiny, cg_tiny_golden):
+        # The node dies between the lease frame leaving and the grant
+        # returning.  Its death event must name the lease, so the chunk
+        # is requeued at once rather than after the TTL on a dead node.
+        with DistPlane(DistConfig(lease_ttl_s=2.0, node_wait_s=0.1)) as plane:
+            _start_nodes(plane, 1, n_workers=1)
+            node, = plane.live_nodes()
+            send = node.send
+
+            def send_then_die(msg):
+                send(msg)
+                if msg.get("type") == "lease":
+                    plane._kill_node(node.node_id, "killed mid-grant")
+
+            node.send = send_then_die
+            result = core.run_campaign(cg_tiny, core.CampaignConfig(
+                mode="exhaustive", dist=plane, batch_budget=1 << 20))
+        assert result.health.node_deaths == 1
+        assert result.health.lease_expiries == 0
+        assert result.health.degraded_to_serial
+        np.testing.assert_array_equal(result.exhaustive.outcomes,
+                                      cg_tiny_golden.outcomes)
+        np.testing.assert_array_equal(result.exhaustive.injected_errors,
+                                      cg_tiny_golden.injected_errors)
 
     def test_no_nodes_degrades_to_local(self, cg_tiny, cg_tiny_golden):
         with DistPlane(DistConfig(node_wait_s=0.1)) as plane:
