@@ -7,8 +7,9 @@
 # on a push).  The script checks BASE out into a temporary git worktree
 # and copies this tree's benchmarks/e2e/ and BENCHMARK.json over the
 # worktree's copies, so both sides run identical benchmark code and only
-# src/ differs.  For seeds 0-9 it runs benchmarks/e2e/run.py once on
-# each side, alternating which side goes first, then exits with the
+# src/ differs.  It byte-compiles both trees' src/, so neither side times
+# compiling its modules.  For seeds 0-9 it runs benchmarks/e2e/run.py
+# once on each side, alternating which side goes first, then exits with the
 # code of `run.py compare`: 1 when a metric reads `worse` or a change
 # run `failed`, 0 otherwise.  A run that crashes stops the gate with its
 # exit code.  Both reports (parent.json, change.json) and the compare
@@ -42,6 +43,9 @@ git -C "$root" worktree add --detach --quiet "$parent" "$base"
 rm -rf "$parent/benchmarks/e2e"
 cp -R "$root/benchmarks/e2e" "$parent/benchmarks/e2e"
 cp "$root/BENCHMARK.json" "$parent/BENCHMARK.json"
+# Byte-compile both sides: under PYTHONDONTWRITEBYTECODE=1 a tree without
+# up-to-date bytecode compiles its modules in every timed process.
+python3 -m compileall -q "$parent/src" "$root/src"
 
 rm -rf "$out"
 mkdir -p "$out"

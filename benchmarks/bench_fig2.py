@@ -22,12 +22,7 @@ from paperconfig import write_result
 from repro.core import SampleSpace
 from repro.core.reporting import format_table, sparkline
 from repro.engine import BatchReplayer, Outcome, classify_batch
-
-
-class CurveCapture:
-    def consume(self, first, abs_diff, valid, sites, bits):
-        self.first = first
-        self.diff = abs_diff[:, 0].copy()
+from tests.helpers import SinkStream
 
 
 def compute_fig2(paper_workloads):
@@ -45,29 +40,31 @@ def compute_fig2(paper_workloads):
         attempts += 1
         site = int(rng.choice(prog.site_indices[: prog.n_sites // 2]))
         bit = int(rng.integers(0, prog.bits_per_site))
-        cap = CurveCapture()
+        cap = SinkStream()
         batch = rep.replay(np.array([site]), np.array([bit]), sink=cap)
+        first, dev, *_ = cap.assemble(len(prog))
+        diff = dev[:, 0]
         outcome = classify_batch(batch, wl.comparator)[0]
         if outcome != int(Outcome.MASKED):
             continue
         inj_err = float(batch.injected_errors[0])
         if inj_err == 0.0:
             continue  # sign flip of zero: nothing propagates
-        curves.append((site, bit, inj_err, cap.diff))
+        curves.append((site, bit, inj_err, diff))
 
         # Empirical §3.3 check: re-inject the recorded deviations at
         # downstream sites and classify.
-        downstream = np.flatnonzero(cap.diff > 0)
+        downstream = np.flatnonzero(diff > 0)
         if downstream.size == 0:
             continue
         picks = rng.choice(downstream,
                            size=min(24, downstream.size), replace=False)
-        instrs = picks + cap.first
+        instrs = picks + first
         site_mask = prog.is_site[instrs]
         instrs = instrs[site_mask]
         if instrs.size == 0:
             continue
-        deltas = cap.diff[instrs - cap.first]
+        deltas = diff[instrs - first]
         golden_vals = trace.values[instrs].astype(np.float64)
         for sign in (+1.0, -1.0):
             vals = (golden_vals + sign * deltas).astype(prog.dtype)

@@ -8,6 +8,7 @@ from pathlib import Path
 import pytest
 
 sys.path.insert(0, str(Path(__file__).parent))
+sys.path.append(str(Path(__file__).parent.parent))  # tests.helpers
 
 from paperconfig import build_paper_workload, golden_of  # noqa: E402
 

@@ -56,20 +56,17 @@ class _MatrixSink:
         self.max_dev = np.zeros((n_regions, n_regions))
 
     def consume(self, first, abs_diff, valid, sites, bits):
-        inj_regions = self.region_of_instr[sites]
+        block = slice(first, first + abs_diff.shape[0])
         with np.errstate(over="ignore", invalid="ignore"):
-            rel = abs_diff / self.scale[first:, None]
-        significant = valid & (rel > self.rel_threshold)
-        recv_regions = self.region_of_instr[first:]
-        for lane in range(abs_diff.shape[1]):
-            rows = np.flatnonzero(significant[:, lane])
-            if rows.size == 0:
-                continue
-            r = inj_regions[lane]
-            recv = recv_regions[rows]
-            devs = abs_diff[rows, lane]
-            np.add.at(self.counts[r], recv, 1)
-            np.maximum.at(self.max_dev[r], recv, devs)
+            significant = (abs_diff / self.scale[block, None]
+                           > self.rel_threshold)
+        if valid is not None:
+            significant &= valid
+        row, lane = np.nonzero(significant)
+        pair = (self.region_of_instr[sites][lane],
+                self.region_of_instr[block][row])
+        np.add.at(self.counts, pair, 1)
+        np.maximum.at(self.max_dev, pair, abs_diff[row, lane])
 
 
 def propagation_matrix(

@@ -83,25 +83,34 @@ class ThresholdAggregator:
         self,
         first_instr: int,
         abs_diff: np.ndarray,
-        valid: np.ndarray,
+        valid: np.ndarray | None,
         sites: np.ndarray,
         bits: np.ndarray,
     ) -> None:
-        """Absorb one batch of masked-experiment deviation data."""
-        self.n_experiments += len(sites)
+        """Absorb one row block of masked-experiment deviation data.
+
+        The block that reaches the end of the tape counts the batch's
+        experiments, so a batch streamed in several blocks counts once.
+        """
         sl = slice(first_instr, first_instr + abs_diff.shape[0])
+        if sl.stop == self.delta_e.size:
+            self.n_experiments += len(sites)
 
-        allowed = valid
-        if self.caps is not None:
-            allowed = allowed & (abs_diff <= self.caps[sl, None])
+        with np.errstate(invalid="ignore", over="ignore"):
+            allowed = True if valid is None else valid
+            if self.caps is not None:
+                allowed = np.less_equal(abs_diff, self.caps[sl, None])
+                if valid is not None:
+                    allowed &= valid
+            np.maximum(self.delta_e[sl],
+                       np.max(abs_diff, axis=1, where=allowed, initial=0.0),
+                       out=self.delta_e[sl])
 
-        contribution = np.where(allowed, abs_diff, 0.0)
-        np.maximum(self.delta_e[sl], contribution.max(axis=1),
-                   out=self.delta_e[sl])
-
-        rel = abs_diff / self._scale[sl, None]
-        significant = valid & (rel > self.rel_info_threshold)
-        self.info[sl] += significant.sum(axis=1)
+            rel = np.divide(abs_diff, self._scale[sl, None])
+            significant = np.greater(rel, self.rel_info_threshold)
+        if valid is not None:
+            significant &= valid
+        self.info[sl] += np.count_nonzero(significant, axis=1)
 
     # -------------------------------------------------------------- results
 

@@ -14,9 +14,10 @@ turns the exhaustive campaign into roughly ``n^2 / block`` Python-level steps
 over wide arrays — the vectorise-the-inner-loop discipline of NumPy HPC code.
 
 Memory is kept bounded by sizing batches against a byte budget
-(:func:`lanes_for_budget`) and by *streaming* per-instruction deviations into
-an aggregation sink instead of materialising the sites-by-sites propagation
-matrix (the paper's §5 'Overhead' concern).
+(:func:`lanes_for_budget`) and by *streaming* per-instruction deviations, one
+cache-sized block of rows at a time, into an aggregation sink instead of
+materialising the sites-by-sites propagation matrix (the paper's §5
+'Overhead' concern).
 
 Un-corrupted lanes recompute exactly the golden values (same dtype, same
 operation order), which is property-tested against the scalar interpreter.
@@ -26,6 +27,7 @@ from __future__ import annotations
 
 import threading
 import time
+from bisect import bisect_left
 from dataclasses import dataclass
 from typing import Protocol
 
@@ -44,26 +46,30 @@ __all__ = ["BatchReplayer", "ReplayBatch", "PropagationSink",
 class PropagationSink(Protocol):
     """Consumer of streamed per-instruction deviation data.
 
-    :meth:`consume` is invoked once per replayed batch with the absolute
-    deviation of every tracked instruction of every lane; implementations
-    (threshold aggregation, impact counting, ...) must reduce it on the fly.
+    A tape replay calls :meth:`consume` once per contiguous block of rows,
+    in row order: the blocks tile ``[min(sites), n)`` and every call
+    carries every lane of the batch.  The CFG replayer makes one
+    full-height call starting at row 0.  Implementations (threshold
+    aggregation, impact counting, ...) must reduce each block on the fly:
+    ``abs_diff`` and ``valid`` are views of the replayer's workspace that
+    the next block overwrites, so a sink must not keep them (copy what it
+    needs) and must not write to them.
     """
 
     def consume(
         self,
         first_instr: int,
         abs_diff: np.ndarray,
-        valid: np.ndarray,
+        valid: np.ndarray | None,
         sites: np.ndarray,
         bits: np.ndarray,
     ) -> None:
-        """Absorb one batch of propagation data.
+        """Absorb one block of propagation data.
 
         Parameters
         ----------
         first_instr:
-            Tape index of ``abs_diff`` row 0 (the earliest injection site in
-            the batch).
+            Tape index of ``abs_diff`` row 0.
         abs_diff:
             ``(rows, lanes)`` float64 array; ``abs_diff[j - first_instr, l]``
             is ``|x_j - x'_j|`` for lane ``l``.  Non-finite deviations are
@@ -71,9 +77,24 @@ class PropagationSink(Protocol):
         valid:
             ``(rows, lanes)`` boolean mask; ``False`` where propagation is no
             longer tracked (at and after control divergence, §2.2).
+            ``None`` when every entry would be ``True``: no lane has
+            diverged by the block's last row.
         sites, bits:
-            Per-lane injection coordinates.
+            Per-lane injection coordinates, the same arrays in every block
+            of a batch.
         """
+
+
+#: Deviation bytes a sink replay streams per :meth:`PropagationSink.consume`
+#: call (near L2 size), and the fewest rows a block may hold: very wide
+#: batches would otherwise pay one call per row.
+_BLOCK_BYTES = 1 << 18
+_MIN_BLOCK_ROWS = 8
+
+
+def _block_rows(lanes: int) -> int:
+    """Rows per streamed deviation block of a ``lanes``-wide batch."""
+    return max(_MIN_BLOCK_ROWS, _BLOCK_BYTES // (8 * lanes))
 
 
 def lanes_for_budget(n_rows: int, itemsize: int, budget_bytes: int = 1 << 26,
@@ -81,9 +102,13 @@ def lanes_for_budget(n_rows: int, itemsize: int, budget_bytes: int = 1 << 26,
                      n_experiments: int | None = None) -> int:
     """Largest lane count whose value matrix fits in ``budget_bytes``.
 
-    The replayer materialises one ``(n_rows, lanes)`` value matrix plus a
-    float64 deviation matrix of the same shape when a sink is attached; the
-    budget accounts for both.
+    The budget counts ``n_rows * (itemsize + 8)`` bytes per lane: the
+    ``(n_rows, lanes)`` value matrix plus a float64 deviation matrix of
+    the same shape.  Sink replays hold deviations only one cache-sized
+    block of rows at a time (:class:`PropagationSink`), so the float64
+    share over-counts; it stays so that chunk layout, and with it
+    checkpoint tags, does not change.  Widening chunks is an open item of
+    its own.
 
     The budget is a hard cap for ``n_rows > 0``: a tape too long for even
     ``minimum`` lanes gets as many lanes as fit (at least one — a single
@@ -139,8 +164,9 @@ class _Workspace:
     :meth:`matrix` hands out a C-contiguous ``(rows, lanes)`` view of a
     flat buffer that grows to the widest request seen, so a thread
     replaying chunk after chunk allocates (and page-faults) its buffers
-    once instead of once per chunk.  Nothing handed out by a replay
-    entry point may be such a view: the next call overwrites it.
+    once instead of once per chunk.  Nothing a replay entry point returns
+    may be such a view: the next call overwrites it.  A sink is handed its
+    deviation blocks as such views, and must not keep them.
     """
 
     def __init__(self):
@@ -167,8 +193,9 @@ class BatchReplayer:
     golden values exactly (same ufuncs, same operand precision).
 
     One replayer may serve several threads at once.  Outcome-only sweeps
-    run in a per-thread workspace (:class:`_Workspace`); every array a
-    public method returns is a fresh one the caller owns.
+    and the deviation blocks of sink replays live in a per-thread
+    workspace (:class:`_Workspace`); every array a public method returns
+    is a fresh one the caller owns.
     """
 
     def __init__(self, trace: GoldenTrace):
@@ -203,8 +230,9 @@ class BatchReplayer:
 
         ``sites`` and ``bits`` are equal-length integer arrays.  All sites
         must be fault sites of the program.  When ``sink`` is given, the
-        per-instruction absolute deviations of the whole batch are streamed
-        into it (used for Algorithm 1 aggregation and impact counting).
+        per-instruction absolute deviations of the batch are streamed into
+        it block by block (used for Algorithm 1 aggregation and impact
+        counting).
         """
         sites, bits, corrupted = self._flip(sites, bits)
         return self._replay_corrupted(sites, bits, corrupted, sink)
@@ -294,12 +322,14 @@ class BatchReplayer:
             inj_err = np.abs(corrupted.astype(np.float64) - self._gold64[sites])
             inj_err[~np.isfinite(inj_err)] = np.inf
 
-        inject: dict[int, tuple[np.ndarray, np.ndarray]] = {}
         order = np.argsort(sites, kind="stable")
         sorted_sites = sites[order]
-        cut = np.flatnonzero(np.diff(sorted_sites)) + 1
-        for grp in np.split(order, cut):
-            inject[int(sites[grp[0]])] = (grp, corrupted[grp])
+        sorted_values = corrupted[order]
+        cuts = [0, *(np.flatnonzero(np.diff(sorted_sites)) + 1).tolist(),
+                sites.size]
+        inject = {site: (order[a:b], sorted_values[a:b])
+                  for site, a, b in zip(sorted_sites[cuts[:-1]].tolist(),
+                                        cuts[:-1], cuts[1:])}
         return inj_err, inject
 
     def _replay_corrupted(
@@ -321,17 +351,24 @@ class BatchReplayer:
             out = self._outputs_of(buf, start, self._out_slots,
                                    np.empty((n_out, k)))
         else:
+            ws = self._workspace()
+
+            def stream(r0: int, rows: np.ndarray) -> None:
+                r1 = r0 + len(rows)
+                dev = ws.matrix("deviation", len(rows), k, np.float64)
+                with np.errstate(invalid="ignore", over="ignore"):
+                    np.subtract(rows, self._gold64[r0:r1, None], out=dev)
+                np.abs(dev, out=dev)
+                np.fmin(dev, np.inf, out=dev)  # NaN -> inf
+                valid = None
+                if diverged_at.min() < r1:
+                    valid = ws.matrix("valid", len(rows), k, bool)
+                    np.less(np.arange(r0, r1)[:, None], diverged_at,
+                            out=valid)
+                sink.consume(r0, dev, valid, sites, bits)
+
             vals = self._sweep_rows(start, self._n, k, inject, None,
-                                    diverged_at)
-            with np.errstate(invalid="ignore", over="ignore"):
-                abs_diff = vals.astype(np.float64)
-                np.subtract(abs_diff, self._gold64[start:, None],
-                            out=abs_diff)
-                np.abs(abs_diff, out=abs_diff)
-                abs_diff[~np.isfinite(abs_diff)] = np.inf
-            valid = (np.arange(start, self._n, dtype=np.int64)[:, None]
-                     < diverged_at[None, :])
-            sink.consume(start, abs_diff, valid, sites, bits)
+                                    diverged_at, stream)
             out = self._outputs_of(vals, start, self._outputs - start,
                                    np.empty((n_out, k)))
         if t0 is not None:
@@ -471,8 +508,14 @@ class BatchReplayer:
         inject: dict[int, tuple[np.ndarray, np.ndarray]],
         overrides: dict[int, np.ndarray] | None,
         diverged_at: np.ndarray,
+        on_block=None,
     ) -> np.ndarray:
-        """Identity-map sweep of rows ``[start, stop)``; returns the matrix."""
+        """Identity-map sweep of rows ``[start, stop)``; returns the matrix.
+
+        With ``on_block``, the rows run in blocks of :func:`_block_rows`
+        rows, and ``on_block(r0, rows)`` sees each block's value rows
+        right after they are computed.
+        """
         plan = self._plan
         dtype = self.program.dtype
         vals = np.empty((stop - start, n_lanes), dtype=dtype)
@@ -485,9 +528,18 @@ class BatchReplayer:
         for r, vec in (overrides or {}).items():
             if V[r] is not None:  # rows nothing in the section reads stay out
                 V[r][:] = vec
-        hits = [(r, r, *inject[r]) for r in sorted(inject)]
-        run_steps(plan.steps, V, start, stop, self._on_guard(diverged_at),
-                  hits)
+        hit_rows = sorted(inject)
+        hits = [(r, r, *inject[r]) for r in hit_rows]
+        on_guard = self._on_guard(diverged_at)
+        height = stop - start if on_block is None else _block_rows(n_lanes)
+        h0 = 0
+        for r0 in range(start, stop, height):
+            r1 = min(r0 + height, stop)
+            h1 = bisect_left(hit_rows, r1, h0)
+            run_steps(plan.steps, V, r0, r1, on_guard, hits[h0:h1])
+            h0 = h1
+            if on_block is not None:
+                on_block(r0, vals[r0 - start:r1 - start])
         return vals
 
     def _outputs_of(self, buf: np.ndarray, start: int, index: np.ndarray,

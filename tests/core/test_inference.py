@@ -5,8 +5,12 @@ import pytest
 
 from repro.core.experiment import SampledResult, SampleSpace
 from repro.core.inference import ThresholdAggregator, exact_site_thresholds
-from repro.engine import TraceBuilder, golden_run
+from repro.engine import BatchReplayer, TraceBuilder, golden_run
+from repro.engine.batch import _block_rows
 from repro.engine.classify import Outcome
+
+from ..engine.test_compile import random_tape
+from ..helpers import SinkStream, scalar_injected_run
 
 M, S = int(Outcome.MASKED), int(Outcome.SDC)
 
@@ -139,6 +143,121 @@ class TestThresholdAggregator:
         boundary = agg.boundary(space)
         assert boundary.thresholds.shape == (3,)
         assert np.array_equal(boundary.thresholds, [1.0, 2.0, 4.0])
+
+
+def whole_batch_state(trace, replays, caps, rel_info_threshold=1e-8):
+    """Algorithm 1 over whole-batch deviation matrices, one consume per
+    batch: the aggregation as it ran before replays streamed row blocks."""
+    n = len(trace.program)
+    delta_e = np.zeros(n)
+    info = np.zeros(n, dtype=np.int64)
+    scale = np.maximum(np.abs(trace.values.astype(np.float64)), 1e-300)
+    n_experiments = 0
+    for first, abs_diff, valid, sites, _ in replays:
+        n_experiments += len(sites)
+        sl = slice(first, first + abs_diff.shape[0])
+        allowed = valid
+        if caps is not None:
+            allowed = allowed & (abs_diff <= caps[sl, None])
+        contribution = np.where(allowed, abs_diff, 0.0)
+        np.maximum(delta_e[sl], contribution.max(axis=1), out=delta_e[sl])
+        with np.errstate(over="ignore"):
+            rel = abs_diff / scale[sl, None]
+        info[sl] += (valid & (rel > rel_info_threshold)).sum(axis=1)
+    return delta_e, info, n_experiments
+
+
+class Tee:
+    """Hands every streamed block to several sinks."""
+
+    def __init__(self, *sinks):
+        self.sinks = sinks
+
+    def consume(self, *block):
+        for sink in self.sinks:
+            sink.consume(*block)
+
+
+class TestStreamedAggregation:
+    """Sink replays stream row blocks; the aggregate must not notice."""
+
+    HEIGHT = 16  # rows per block at LANES lanes
+    LANES = 2048
+
+    def batch(self, prog, rng):
+        """``LANES`` experiments whose blocks start on the first site, on
+        an injected row and on a guard row."""
+        h = self.HEIGHT
+        sites = np.flatnonzero(prog.is_site)
+        guards = np.flatnonzero(~prog.is_site)
+        guard = int(guards[-1])
+        first = int(sites[(sites <= guard - 2 * h)
+                          & ((guard - sites) % h == 0)][0])
+        starts = np.arange(first, len(prog), h)
+        on_start = sites[np.isin(sites, starts[1:])]
+        picked = np.concatenate([
+            [first], on_start,
+            rng.choice(sites[sites >= first],
+                       size=self.LANES - 1 - on_start.size)])
+        bits_per = prog.dtype.itemsize * 8
+        bits = rng.integers(0, bits_per, size=picked.size)
+        bits[::5] = bits_per - 2  # top exponent bit: inf and NaN
+        bits[1::5] = bits_per - 1  # sign: -0.0 from a zero golden value
+        return picked, bits, starts, guard, int(on_start[0])
+
+    @pytest.mark.parametrize("caps_on", [False, True], ids=["no-caps", "caps"])
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64],
+                             ids=["fp32", "fp64"])
+    @pytest.mark.parametrize("seed", [5, 6])
+    def test_streamed_state_equals_whole_batch_formula(self, seed, dtype,
+                                                       caps_on):
+        assert _block_rows(self.LANES) == self.HEIGHT
+        trace = golden_run(random_tape(seed, guards=True, dtype=dtype))
+        prog = trace.program
+        n = len(prog)
+        rng = np.random.default_rng(seed)
+        caps = None
+        if caps_on:
+            caps = np.abs(trace.values.astype(np.float64)) * rng.uniform(
+                0.0, 2.0, size=n)
+            caps[rng.random(n) < 0.2] = np.inf
+        rep = BatchReplayer(trace)
+        agg = ThresholdAggregator(trace, caps=caps)
+        stream = SinkStream()
+        sites, bits, starts, guard, injected = self.batch(prog, rng)
+        batch = rep.replay(sites, bits, sink=Tee(agg, stream))
+        # explicit NaN / inf / -0.0 corruptions as a second batch
+        values = np.resize(np.array([np.nan, np.inf, -np.inf, -0.0, 1e30],
+                                    dtype=dtype), sites.size)
+        rep.replay_values(sites, values, sink=Tee(agg, stream))
+
+        block_starts = [b[0] for b in stream.blocks[:len(starts)]]
+        assert block_starts == starts.tolist()
+        assert {int(sites.min()), guard, injected} <= set(block_starts)
+        assert np.any(batch.diverged_at == guard)
+        replays = stream.replays(n)
+        want = whole_batch_state(trace, replays, caps)
+        assert np.array_equal(agg.delta_e, want[0])
+        assert np.array_equal(agg.info, want[1])
+        assert agg.n_experiments == want[2] == 2 * sites.size
+
+        # the assembled stream itself, against the scalar reference
+        first, dev, valid, _, _ = replays[0]
+        rows = np.arange(first, n)
+        assert np.array_equal(valid, rows[:, None] < batch.diverged_at)
+        gold = trace.values.astype(np.float64)
+        diverged = np.flatnonzero(batch.diverged)
+        # lanes 0 and 1 inject on block starts
+        for lane in np.concatenate([[0, 1], diverged[:6], rng.choice(
+                sites.size, size=6, replace=False)]):
+            vals, _, div = scalar_injected_run(prog, int(sites[lane]),
+                                               int(bits[lane]))
+            with np.errstate(invalid="ignore", over="ignore"):
+                d = np.abs(vals[first:].astype(np.float64) - gold[first:])
+            d[np.isnan(d)] = np.inf
+            assert np.array_equal(dev[:, lane], d)
+            assert np.array_equal(valid[:, lane],
+                                  rows < (n if div is None else div))
 
 
 class TestExactSiteThresholds:

@@ -13,7 +13,7 @@ from repro.engine import (
     lanes_for_budget,
 )
 
-from ..helpers import scalar_injected_run
+from ..helpers import SinkStream, scalar_injected_run
 
 
 @pytest.fixture()
@@ -161,21 +161,13 @@ class TestInjectionSemantics:
 
 
 class TestPropagationSink:
-    class RecordingSink:
-        def __init__(self):
-            self.calls = []
-
-        def consume(self, first_instr, abs_diff, valid, sites, bits):
-            self.calls.append((first_instr, abs_diff.copy(), valid.copy(),
-                               sites.copy(), bits.copy()))
-
     def test_sink_receives_deviations(self, toy_program):
         trace = golden_run(toy_program)
         rep = BatchReplayer(trace)
-        sink = self.RecordingSink()
+        sink = SinkStream()
         site = int(toy_program.site_indices[3])
         batch = rep.replay(np.array([site]), np.array([31]), sink=sink)
-        (first, diff, valid, sites, bits), = sink.calls
+        first, diff, valid, sites, bits = sink.assemble(len(toy_program))
         assert first == site
         assert diff.shape == (len(toy_program) - site, 1)
         assert valid.all()  # no guards -> no divergence
@@ -185,10 +177,10 @@ class TestPropagationSink:
     def test_sink_deviations_match_scalar_reference(self, toy_program):
         trace = golden_run(toy_program)
         rep = BatchReplayer(trace)
-        sink = self.RecordingSink()
+        sink = SinkStream()
         site = int(toy_program.site_indices[2])
         rep.replay(np.array([site]), np.array([24]), sink=sink)
-        (_, diff, _, _, _), = sink.calls
+        _, diff, _, _, _ = sink.assemble(len(toy_program))
         vals_ref, _, _ = scalar_injected_run(toy_program, site, 24)
         expect = np.abs(vals_ref.astype(np.float64)
                         - trace.values.astype(np.float64))[site:]
@@ -229,10 +221,10 @@ class TestDivergence:
         prog, site, guard_idx = guarded_setup
         trace = golden_run(prog)
         rep = BatchReplayer(trace)
-        sink = TestPropagationSink.RecordingSink()
+        sink = SinkStream()
         bits = np.arange(prog.bits_per_site)
         batch = rep.replay(np.full_like(bits, site), bits, sink=sink)
-        (first, _, valid, _, _), = sink.calls
+        first, _, valid, _, _ = sink.assemble(len(prog))
         guard_row = guard_idx - first
         for lane in range(batch.n_lanes):
             if batch.diverged[lane]:

@@ -11,6 +11,8 @@ from repro.engine import (
     golden_run,
 )
 
+from ..helpers import SinkStream
+
 
 class TestDuplicateLanes:
     def test_identical_experiments_identical_lanes(self, toy_program):
@@ -80,33 +82,29 @@ class TestMixedSiteBatches:
 
 
 class TestSinkInvocation:
-    class CountingSink:
-        def __init__(self):
-            self.calls = 0
-            self.lanes = 0
-
-        def consume(self, first, abs_diff, valid, sites, bits):
-            self.calls += 1
-            self.lanes += abs_diff.shape[1]
-
-    def test_one_consume_per_replay(self, toy_program):
+    def test_one_stream_per_replay(self, toy_program):
         trace = golden_run(toy_program)
         rep = BatchReplayer(trace)
-        sink = self.CountingSink()
+        sink = SinkStream()
         sites = toy_program.site_indices[:3]
         rep.replay(sites, np.array([1, 2, 3]), sink=sink)
-        assert sink.calls == 1
-        assert sink.lanes == 3
+        (first, dev, valid, got_sites, bits), = sink.replays(
+            len(toy_program))
+        assert first == sites.min()
+        assert dev.shape == valid.shape == (len(toy_program) - first, 3)
+        assert np.array_equal(got_sites, sites)
+        assert np.array_equal(bits, [1, 2, 3])
 
     def test_sink_reusable_across_replays(self, toy_program):
         trace = golden_run(toy_program)
         rep = BatchReplayer(trace)
-        sink = self.CountingSink()
+        sink = SinkStream()
         site = toy_program.site_indices[:1]
         rep.replay(site, np.array([0]), sink=sink)
         rep.replay(site, np.array([1]), sink=sink)
-        assert sink.calls == 2
-        assert sink.lanes == 2
+        streams = sink.replays(len(toy_program))
+        assert [s[1].shape[1] for s in streams] == [1, 1]
+        assert [int(s[4][0]) for s in streams] == [0, 1]
 
 
 class TestCopySemantics:

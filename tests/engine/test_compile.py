@@ -25,18 +25,7 @@ from repro.engine import (
 from repro.engine.bitflip import flip_bits
 from repro.engine.plan import plan_for
 
-from ..helpers import scalar_injected_run
-
-
-class RecordingSink:
-    """Collects every consume() call for stream-level comparison."""
-
-    def __init__(self):
-        self.calls = []
-
-    def consume(self, first_instr, abs_diff, valid, sites, bits):
-        self.calls.append((first_instr, abs_diff.copy(), valid.copy(),
-                           sites.copy(), bits.copy()))
+from ..helpers import SinkStream, scalar_injected_run
 
 
 def random_tape(seed: int, n_rows: int = 120, dtype=np.float32,
@@ -96,12 +85,12 @@ def reference(prog, sites, bits=None, values=None):
 
 
 def assert_matches(batch, ref, sink=None, gold=None):
-    """``batch`` (and the one ``sink`` call) agree with ``reference``."""
+    """``batch`` (and what ``sink`` recorded) agree with ``reference``."""
     ref_vals, ref_out, ref_div = ref
     assert np.array_equal(batch.outputs, ref_out, equal_nan=True)
     assert np.array_equal(batch.diverged_at, ref_div)
     if sink is not None:
-        (first, dev, valid, sites, bits), = sink.calls
+        first, dev, valid, sites, bits = sink.assemble(len(gold))
         assert first == int(batch.sites.min())
         with np.errstate(invalid="ignore", over="ignore"):
             want = np.abs(ref_vals[first:].astype(np.float64)
@@ -141,7 +130,7 @@ def check_trace(trace, rng, n_sites=None):
     with np.errstate(invalid="ignore", over="ignore"):
         assert np.array_equal(batch.injected_values,
                               flip_bits(gold[sites], bits), equal_nan=True)
-    sink = RecordingSink()
+    sink = SinkStream()
     assert_matches(rep.replay(sites, bits, sink=sink), ref, sink, gold)
 
     # narrow single-site batches start late: only live-ins are golden
@@ -186,7 +175,7 @@ class TestDifferentialRandomTapes:
             s = np.full(9, site)
             bt = rng.integers(0, prog.dtype.itemsize * 8, size=9)
             a = rep.replay(s, bt)
-            b = rep.replay(s, bt, sink=RecordingSink())
+            b = rep.replay(s, bt, sink=SinkStream())
             assert np.array_equal(a.outputs, b.outputs, equal_nan=True)
             assert np.array_equal(a.diverged_at, b.diverged_at)
 
@@ -212,7 +201,7 @@ class TestDifferentialKernels:
         assert guards.size > 0
         sites = np.flatnonzero(prog.is_site)[:40]
         bits = np.full(sites.size, prog.dtype.itemsize * 8 - 2)
-        sink = RecordingSink()
+        sink = SinkStream()
         batch = rep.replay(sites, bits, sink=sink)
         assert_matches(batch, reference(prog, sites, bits), sink,
                        wl.trace.values)
@@ -462,7 +451,7 @@ class TestSlotPlan:
         for site in (out, s):
             sites = np.full(4, site)
             vals = np.array([np.nan, -0.0, 7.0, np.inf], dtype=np.float32)
-            for sink in (None, RecordingSink()):
+            for sink in (None, SinkStream()):
                 batch = rep.replay_values(sites, vals, sink=sink)
                 assert_matches(batch, reference(prog, sites, values=vals),
                                sink, rep.trace.values)
@@ -478,10 +467,10 @@ class TestSlotPlan:
         bits = np.array([31, 30, 3])
         ref = reference(prog, sites, bits)
         assert_matches(rep.replay(sites, bits), ref)
-        sink = RecordingSink()
+        sink = SinkStream()
         assert_matches(rep.replay(sites, bits, sink=sink), ref, sink,
                        trace.values)
-        assert np.all(sink.calls[0][1][0] > 0)
+        assert np.all(sink.assemble(len(prog))[1][0] > 0)
 
     def test_section_override_read_again_late(self):
         """A live-in read at the start of a section and again at its end

@@ -14,6 +14,8 @@ from repro.engine import (
     golden_run,
 )
 
+from ..helpers import SinkStream
+
 
 @pytest.fixture()
 def diamond_program():
@@ -119,16 +121,12 @@ class TestStaticBoundsDynamic:
         trace = cg_tiny.trace
         rep = BatchReplayer(trace)
 
-        class Capture:
-            def consume(self, first, abs_diff, valid, sites, bits):
-                self.first = first
-                self.diff = abs_diff.copy()
-
         rng = np.random.default_rng(1)
         for site in rng.choice(prog.site_indices, size=5, replace=False):
-            cap = Capture()
+            cap = SinkStream()
             rep.replay(np.array([site]), np.array([28]), sink=cap)
-            touched = np.flatnonzero(cap.diff[:, 0] > 0) + cap.first
+            first, diff, *_ = cap.assemble(len(prog))
+            touched = np.flatnonzero(diff[:, 0] > 0) + first
             allowed = set(forward_slice(prog, int(site))) | {int(site)}
             assert set(touched.tolist()) <= allowed
 

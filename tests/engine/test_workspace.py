@@ -1,8 +1,9 @@
-"""Phase-A replays in per-thread workspaces.
+"""Replays in per-thread workspaces.
 
 :meth:`BatchReplayer.replay_outcomes` sweeps, gathers outputs and
 classifies in buffers each thread allocates once and reuses; it must
-equal ``classify_batch(replay(...))`` bit for bit, threads sharing one
+equal ``classify_batch(replay(...))`` bit for bit.  Sink replays stream
+their deviation blocks through the same workspace.  Threads sharing one
 replayer must not see each other's buffers, and no array a replay
 returns may be a workspace view.
 """
@@ -11,13 +12,15 @@ from __future__ import annotations
 
 import sys
 import threading
+import tracemalloc
 
 import numpy as np
 import pytest
 
 from repro import kernels
 from repro.core.experiment import SampleSpace
-from repro.engine.batch import BatchReplayer, make_replayer
+from repro.core.inference import ThresholdAggregator
+from repro.engine.batch import BatchReplayer, lanes_for_budget, make_replayer
 from repro.engine.classify import OutputComparator, classify_batch
 
 
@@ -98,6 +101,12 @@ class TestOwnership:
 
 
 class TestThreads:
+    @staticmethod
+    def _aggregate(rep, sites, bits):
+        agg = ThresholdAggregator(rep.trace)
+        rep.replay(sites, bits, sink=agg)
+        return agg.delta_e, agg.info
+
     def test_two_threads_on_one_replayer_match_serial(self, cg32, fft64):
         before = sys.getswitchinterval()
         sys.setswitchinterval(1e-6)
@@ -109,6 +118,7 @@ class TestThreads:
                 serial = [rep.replay_outcomes(s, b, wl.comparator)
                           for s, b in work]
                 serial_out = [rep.replay(s, b).outputs for s, b in work]
+                serial_agg = [self._aggregate(rep, s, b) for s, b in work]
                 checked, errors = [], []
 
                 def worker(order):
@@ -125,6 +135,10 @@ class TestThreads:
                                                               serial[i][1])
                                 np.testing.assert_array_equal(outputs,
                                                               serial_out[i])
+                                for got, want in zip(
+                                        self._aggregate(rep, s, b),
+                                        serial_agg[i]):
+                                    np.testing.assert_array_equal(got, want)
                                 checked.append(i)
                     except Exception as exc:  # re-raised on the main thread
                         errors.append(exc)
@@ -141,3 +155,27 @@ class TestThreads:
                 assert len(checked) == 24
         finally:
             sys.setswitchinterval(before)
+
+
+class TestSinkReplayMemory:
+    def test_budget_width_sink_replay_peaks_near_its_value_matrix(self):
+        """Beyond the value matrix, a sink replay holds only block-sized
+        deviation buffers (whole-batch deviation matrices and their
+        temporaries peaked at 4.4x the value matrix)."""
+        wl = kernels.build("fft", n=64)
+        prog = wl.program
+        lanes = lanes_for_budget(len(prog), prog.dtype.itemsize)
+        sites, bits = _experiments(wl, lanes, 8)
+        caps = np.abs(wl.trace.values.astype(np.float64))
+        rep = BatchReplayer(wl.trace)
+        rep.replay(sites[:8], bits[:8], sink=ThresholdAggregator(wl.trace))
+        agg = ThresholdAggregator(wl.trace, caps=caps)
+        tracemalloc.start()
+        try:
+            rep.replay(sites, bits, sink=agg)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        value_matrix = len(prog) * lanes * prog.dtype.itemsize
+        assert lanes == 1170
+        assert peak <= 1.25 * value_matrix, peak / value_matrix

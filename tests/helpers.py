@@ -109,6 +109,66 @@ def _evaluate(program, inputs, consts, site, bit, golden_guards,
     return values, diverged_at
 
 
+class SinkStream:
+    """A propagation sink that records its block stream.
+
+    A tape replay streams its deviations in row blocks; :meth:`replays`
+    reassembles each recorded replay into the whole-batch matrices and
+    checks the stream's contract on the way.
+    """
+
+    def __init__(self):
+        self.blocks = []
+
+    def consume(self, first_instr, abs_diff, valid, sites, bits):
+        self.blocks.append((first_instr, abs_diff.copy(),
+                            None if valid is None else valid.copy(),
+                            sites.copy(), bits.copy()))
+
+    def replays(self, n: int) -> list[tuple]:
+        """Every recorded replay of an ``n``-row tape, in order, as
+        ``(first, abs_diff, valid, sites, bits)`` over rows ``[first, n)``.
+
+        Asserts that each replay's blocks tile ``[min(sites), n)`` in row
+        order, each with every lane and the batch's ``sites``/``bits``,
+        and that a block leaves out ``valid`` only while no lane has
+        diverged by its last row.
+        """
+        out = []
+        blocks = iter(self.blocks)
+        for first, dev, valid, sites, bits in blocks:
+            assert first == sites.min()
+            devs, valids = [], []
+            row = first
+            while True:
+                assert dev.dtype == np.float64
+                assert dev.shape[0] > 0 and dev.shape[1] == sites.size
+                if valid is None:
+                    valid = np.ones(dev.shape, dtype=bool)
+                else:
+                    assert valid.shape == dev.shape and valid.dtype == bool
+                    assert not valid[-1].all()
+                devs.append(dev)
+                valids.append(valid)
+                row += dev.shape[0]
+                if row == n:
+                    break
+                assert row < n
+                block = next(blocks, None)
+                assert block is not None, f"stream stops at row {row} of {n}"
+                r0, dev, valid, s, b = block
+                assert r0 == row
+                assert np.array_equal(s, sites) and np.array_equal(b, bits)
+            out.append((first, np.concatenate(devs), np.concatenate(valids),
+                        sites, bits))
+        return out
+
+    def assemble(self, n: int) -> tuple:
+        """The one recorded replay of an ``n``-row tape (:meth:`replays`)."""
+        (replay,) = self.replays(n)
+        return replay
+
+
 ROOT = Path(__file__).resolve().parents[1]
 
 
