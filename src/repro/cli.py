@@ -36,8 +36,9 @@ The campaign commands (``exhaustive``, ``sample``, ``adaptive``) accept
 ``--workers N`` (one process pool for the whole campaign; its workers
 fork from the CLI and inherit the workload; without it the campaign runs
 serially) and fault-tolerance options:
-``--max-retries`` / ``--task-timeout`` build a
-:class:`~repro.parallel.resilience.RetryPolicy` for pool runs, and
+``--max-retries`` / ``--task-timeout`` tune the
+:class:`~repro.parallel.resilience.RetryPolicy` pool and dist runs
+always have (``RetryPolicy()`` without them), and
 ``--checkpoint DIR`` (with ``--resume`` to continue an interrupted
 campaign) persists partial results through
 :class:`~repro.core.checkpoint.CampaignCheckpoint`.  They also accept
@@ -200,8 +201,7 @@ def build_parser() -> argparse.ArgumentParser:
                             "rejecting the existing state")
         p.add_argument("--max-retries", type=int, default=None,
                        help="re-run a failed/crashed/timed-out task up to "
-                            "N times (pool runs; default 2 when any "
-                            "resilience flag is set)")
+                            "N times (pool and dist runs; default 2)")
         p.add_argument("--task-timeout", type=float, default=None,
                        metavar="SECONDS",
                        help="per-task wall-clock deadline; expired tasks "
@@ -322,7 +322,7 @@ def build_parser() -> argparse.ArgumentParser:
     add_obs_args(p)
     p.add_argument("--max-retries", type=int, default=None,
                    help="re-run a failed/crashed/timed-out section task up "
-                        "to N times (pool runs)")
+                        "to N times (pool runs; default 2)")
     p.add_argument("--task-timeout", type=float, default=None,
                    metavar="SECONDS",
                    help="per-section wall-clock deadline for pool runs")

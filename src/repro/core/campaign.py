@@ -29,13 +29,13 @@ callers stop pattern-matching on per-driver shapes.
 
 Two fault-tolerance hooks thread through every mode:
 
-* ``retry_policy`` — a :class:`~repro.parallel.resilience.RetryPolicy`
-  upgrades pool execution to the
-  :class:`~repro.parallel.resilience.ResilientExecutor` (bounded per-task
-  retries, wall-clock timeouts, worker-crash recovery, serial
-  degradation); the resulting
+* ``retry_policy`` — the :class:`~repro.parallel.resilience.RetryPolicy`
+  of the pooled planes' task loop (bounded per-task retries, wall-clock
+  timeouts, worker-crash recovery, serial degradation); ``None`` means
+  ``RetryPolicy()``.  The resulting
   :class:`~repro.parallel.resilience.CampaignHealth` record is surfaced on
-  campaign results.
+  campaign results.  The serial plane, the reference, recovers nothing
+  and reports no health.
 * ``checkpoint`` — a :class:`~repro.core.checkpoint.CampaignCheckpoint`
   persists completed phase-A chunks, merged phase-B aggregator partials
   and per-round adaptive state as they complete, so an interrupted
@@ -59,7 +59,7 @@ from contextlib import contextmanager, nullcontext
 from dataclasses import dataclass, field, replace
 from functools import partial
 from pathlib import Path
-from typing import Any, Callable
+from typing import Any
 
 import numpy as np
 
@@ -72,14 +72,11 @@ from ..parallel.executor import (
     ProcessPoolCampaignExecutor,
     SerialExecutor,
     pool_start_method,
+    process_pool,
 )
 from ..parallel.partition import chunk_for_workers
 from ..parallel.progress import as_progress
-from ..parallel.resilience import (
-    CampaignHealth,
-    ResilientExecutor,
-    RetryPolicy,
-)
+from ..parallel.resilience import CampaignHealth, RetryPolicy
 from .boundary import FaultToleranceBoundary
 from .checkpoint import CampaignCheckpoint
 from .experiment import ExhaustiveResult, SampledResult, SampleSpace
@@ -147,51 +144,24 @@ def _plane(n_workers: int | None, dist=None) -> str:
     return "processes"
 
 
-def _process_pool(workload: Workload,
-                  n_workers: int) -> ProcessPoolCampaignExecutor:
-    """A process pool of one campaign (see DESIGN §6).
+def _process_pool(workload: Workload, n_workers: int):
+    """Build one process pool of a campaign (see DESIGN §6).
 
-    Every build, a :class:`~repro.parallel.resilience.ResilientExecutor`
-    rebuild included, reads :func:`~repro.parallel.executor.pool_start_method`
-    afresh.  The golden run happens here, once: forked workers inherit
-    the trace and forkserver workers unpickle it.  Under ``fork`` the
-    replay plan is built here too (it is memoized on the trace, so every
-    worker inherits the parent's copy); forkserver workers build their
-    own, which is cheaper than pickling it.
+    The campaign's
+    :class:`~repro.parallel.executor.ProcessPoolCampaignExecutor` calls
+    this on its first submit and on every rebuild, so a campaign
+    with nothing left to run (a fully resumed checkpoint, a warm compose
+    cache) builds neither a pool nor a replay plan.  The golden run
+    happens here, once: forked workers inherit the trace and forkserver
+    workers unpickle it.  Under ``fork`` the replay plan is built here
+    too (it is memoized on the trace, so every worker inherits the
+    parent's copy); forkserver workers build their own, which is cheaper
+    than pickling it.
     """
     trace = workload.trace
     if pool_start_method() == "fork":
         make_replayer(trace)
-    return ProcessPoolCampaignExecutor(_init_worker_direct, (workload,),
-                                       n_workers=n_workers)
-
-
-class _LazyPool:
-    """A campaign's plain process pool, built on its first batch of tasks.
-
-    A campaign with nothing left to run (a fully resumed checkpoint, a
-    warm compose cache) then never builds a replay plan or a pool it
-    would not use.
-    """
-
-    def __init__(self, factory: Callable[[], ProcessPoolCampaignExecutor]):
-        self._factory = factory
-        self._pool: ProcessPoolCampaignExecutor | None = None
-
-    def _ensure(self) -> ProcessPoolCampaignExecutor:
-        if self._pool is None:
-            self._pool = self._factory()
-        return self._pool
-
-    def run(self, fn, tasks):
-        return self._ensure().run(fn, tasks)
-
-    def run_stream(self, fn, tasks):
-        return self._ensure().run_stream(fn, tasks)
-
-    def shutdown(self) -> None:
-        if self._pool is not None:
-            self._pool.shutdown()
+    return process_pool(n_workers, _init_worker_direct, (workload,))
 
 
 @contextmanager
@@ -200,28 +170,23 @@ def _campaign_executor(workload: Workload, n_workers: int | None,
     """The executor of one campaign, shared by all of its phases.
 
     The plane follows from the arguments (:func:`_plane`): ``dist``'s
-    lease executor, else a process pool (inside a
-    :class:`~repro.parallel.resilience.ResilientExecutor` when there is a
-    ``retry_policy``), else the serial plane.  It is shut down on normal
-    exit, on error and on ``KeyboardInterrupt`` alike.
+    lease executor, else a process pool, else the serial plane.  Both
+    pooled planes run under ``retry_policy`` (``None`` means
+    ``RetryPolicy()``); the serial plane ignores it.  The executor is
+    shut down on normal exit, on error and on ``KeyboardInterrupt``
+    alike.
     """
     kind = _plane(n_workers, dist)
     if kind == "dist":
-        # worker count is per-node (each node announces its own); the
-        # retry policy bounds the coordinator's lease retries instead
+        # worker count is per-node (each node announces its own)
         pool = dist.executor(workload, retry_policy)
     elif kind == "serial":
         pool = SerialExecutor(initializer=_init_worker_direct,
                               initargs=(workload,))
-    elif retry_policy is not None:
-        pool = ResilientExecutor(initializer=_init_worker_direct,
-                                 initargs=(workload,),
-                                 n_workers=n_workers,
-                                 policy=retry_policy,
-                                 pool_factory=partial(_process_pool,
-                                                      workload, n_workers))
     else:
-        pool = _LazyPool(partial(_process_pool, workload, n_workers))
+        pool = ProcessPoolCampaignExecutor(
+            _init_worker_direct, (workload,), n_workers, retry_policy,
+            pool_factory=partial(_process_pool, workload, n_workers))
     try:
         yield pool
     finally:

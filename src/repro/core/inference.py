@@ -97,13 +97,17 @@ class ThresholdAggregator:
             self.n_experiments += len(sites)
 
         with np.errstate(invalid="ignore", over="ignore"):
-            allowed = True if valid is None else valid
+            allowed = valid
             if self.caps is not None:
                 allowed = np.less_equal(abs_diff, self.caps[sl, None])
                 if valid is not None:
                     allowed &= valid
+            # Sinks see no NaN (non-finite deviations arrive as +inf), so
+            # the only NaNs are the inf * False of masked-out entries,
+            # which fmax skips: a masked max without np.max's where=.
+            masked = abs_diff if allowed is None else abs_diff * allowed
             np.maximum(self.delta_e[sl],
-                       np.max(abs_diff, axis=1, where=allowed, initial=0.0),
+                       np.fmax.reduce(masked, axis=1, initial=0.0),
                        out=self.delta_e[sl])
 
             rel = np.divide(abs_diff, self._scale[sl, None])

@@ -7,13 +7,14 @@ serve layer or CLI opens one plane, nodes attach and detach freely, and
 every campaign phase borrows the plane through a :class:`DistExecutor`.
 
 :class:`DistExecutor` is a drop-in
-:class:`~repro.parallel.executor.CampaignExecutor`: ``run_stream``
+:class:`~repro.parallel.executor.CampaignExecutor`: ``run_stream`` runs
+the task loop of :mod:`repro.parallel.resilience` (retries, backoff,
+terminal raise, serial drain, release on close) over a lease table.  It
 shards the phase's chunk list into **leases**, hands them to nodes (at
-most ``n_workers`` in flight per node, the same honest-deadline /
-bounded-loss rationale as
-:class:`~repro.parallel.resilience.ResilientExecutor`'s in-flight
-window), and yields results in completion order.  Correctness leans on
-three properties the single-node plane already established:
+most ``n_workers`` in flight per node, so a lease starts when granted
+and its TTL measures execution), and yields results in completion
+order.  Correctness leans on three properties the single-node plane
+already established:
 
 * campaign tasks are **pure functions of content-keyed chunks** — a
   chunk's experiment indices fully determine its reduced arrays, so a
@@ -23,33 +24,30 @@ three properties the single-node plane already established:
   chunk index, Algorithm 1 partials merge by per-site max / sum), so
   completion-order streaming across nodes is bit-identical to a serial
   run;
-* completed chunks are **never re-leased** — the executor's completed
-  set plays the role :mod:`repro.core.checkpoint` plays across process
+* completed chunks are **never re-leased** — the loop's completed set
+  plays the role :mod:`repro.core.checkpoint` plays across process
   restarts, and composes with it: a checkpointed distributed campaign
   resumes without re-running chunks that any node ever finished.
 
-Failure handling extends the PR-1 taxonomy one level up: a dead node
+Failure handling extends the pool's taxonomy one level up: a dead node
 (EOF, reset, or ``heartbeat_timeout_s`` of silence) requeues its leases
 with attempt counts bumped and raises
 :class:`~repro.parallel.resilience.NodeDeath` once a task's budget is
 consumed entirely by node losses; a lease that outlives ``lease_ttl_s``
 on a live node counts a :class:`~repro.parallel.resilience.LeaseExpired`
-strike.  Retries honour the policy's exponential backoff + jitter.  When
-no nodes are connected for ``node_wait_s`` the executor degrades to
-coordinator-local serial execution (``local_fallback``), mirroring the
-resilient pool's serial degradation.
+strike and is re-granted.  When no nodes are connected for
+``node_wait_s`` the rest of the phase drains coordinator-locally
+(``local_fallback``), as the pool drains once its rebuilds run out.
 """
 
 from __future__ import annotations
 
 import hashlib
-import heapq
 import itertools
 import queue
 import socket
 import threading
 import time
-from collections import deque
 from dataclasses import dataclass, field
 from typing import Any, Callable, Iterator, Sequence
 
@@ -58,12 +56,16 @@ import numpy as np
 from ..kernels.workload import Workload, workload_key
 from ..obs.metrics import inc as _inc
 from ..obs.trace import span
+from ..parallel.executor import CampaignExecutor
 from ..parallel.resilience import (
+    DONE,
+    FAILED,
+    LOST,
     CampaignHealth,
     LeaseExpired,
     NodeDeath,
     RetryPolicy,
-    TaskError,
+    run_with_retries,
 )
 from .protocol import PROTOCOL_VERSION, ProtocolError, recv_msg, send_msg
 
@@ -148,16 +150,6 @@ class NodeHandle:
     def send(self, msg: dict) -> None:
         with self.send_lock:
             send_msg(self.sock, msg)
-
-
-@dataclass
-class _Lease:
-    lease_id: str
-    index: int
-    attempts: int
-    node_id: str
-    key: str
-    deadline: float
 
 
 class DistPlane:
@@ -383,14 +375,25 @@ class DistPlane:
             self._kill_node(node.node_id, f"connection torn: {exc}")
 
 
-class DistExecutor:
-    """One campaign phase's view of the plane (see module doc).
+class DistExecutor(CampaignExecutor):
+    """One campaign's view of the plane (see module doc).
 
     Same ``run`` / ``run_stream`` / ``shutdown`` surface as every other
     campaign executor, plus the :attr:`health` record drivers already
-    harvest via ``getattr(pool, "health", None)``.  ``shutdown`` is a
-    no-op: the plane outlives phases and is closed by whoever opened it.
+    harvest via ``getattr(pool, "health", None)``.  ``run_stream`` is the
+    retry loop of :mod:`repro.parallel.resilience` over the lease table;
+    this class only grants, collects, expires and releases leases.
+    ``shutdown`` releases the campaign's outstanding leases and leaves
+    the plane open: it outlives campaigns and is closed by whoever
+    opened it.
     """
+
+    lost = NodeDeath
+    expired = LeaseExpired
+    #: each node takes at most its ``n_workers`` leases (``_submit``)
+    window = None
+    #: a granted lease starts at once, so its TTL runs from the grant
+    concurrency = None
 
     def __init__(self, plane: DistPlane, workload: Workload,
                  retry_policy: RetryPolicy | None = None):
@@ -398,21 +401,17 @@ class DistExecutor:
         self._workload = workload
         self.policy = retry_policy or RetryPolicy()
         self.health = CampaignHealth()
+        self.deadline_s = plane.config.lease_ttl_s
         self._seq = itertools.count(1)
-        #: results decoded by the event pump, drained by ``run_stream``
-        self._ready: deque[tuple[int, Any]] = deque()
+        #: outstanding lease id -> id of the node holding it
+        self._leases: dict[str, str] = {}
+        self._live: list[NodeHandle] = []
+        self._empty_since: float | None = None
         spec = workload.spec
         self._wkey = (workload_key(spec, workload.tolerance, workload.norm)
                       if spec is not None else None)
 
     # ------------------------------------------------------------- public
-
-    def run(self, fn: Callable[[Any], Any],
-            tasks: Sequence[Any]) -> list[Any]:
-        results: list[Any] = [None] * len(tasks)
-        for index, result in self.run_stream(fn, tasks):
-            results[index] = result
-        return results
 
     def run_stream(self, fn: Callable[[Any], Any],
                    tasks: Sequence[Any]) -> Iterator[tuple[int, Any]]:
@@ -421,58 +420,17 @@ class DistExecutor:
         tasks = list(tasks)
         if not tasks:
             return
-        keys = [self._content_key(kind, task) for task in tasks]
-        key_to_index = {k: i for i, k in enumerate(keys)}
-        epoch = self._plane._begin_phase(self._workload)
-
-        todo: deque[tuple[int, int]] = deque(
-            (i, 0) for i in range(len(tasks)))
-        waiting: list[tuple[float, int, int]] = []  # backoff heap
-        leases: dict[str, _Lease] = {}
-        #: per-task last failure class, for the terminal raise
-        last_failure: dict[int, type] = {}
-        completed: set[int] = set()
-        empty_since: float | None = None
-        poll = self.policy.poll_interval
-
+        self._kind = kind
+        self._keys = [self._content_key(kind, task) for task in tasks]
+        self._key_to_index = {k: i for i, k in enumerate(self._keys)}
+        self._epoch = self._plane._begin_phase(self._workload)
+        self._empty_since = None
         with span("dist.phase", kind=kind, n_tasks=len(tasks),
-                  n_nodes=self._plane.n_nodes, epoch=epoch):
-            while len(completed) < len(tasks):
-                self._promote_waiting(todo, waiting)
-                self._plane._sweep_liveness()
-                live = [n for n in self._plane.live_nodes()
-                        if n.welcomed_key == self._wkey]
-
-                if not live and not leases:
-                    if empty_since is None:
-                        empty_since = time.monotonic()
-                    waited = time.monotonic() - empty_since
-                    if waited >= self._plane.config.node_wait_s:
-                        if not self._plane.config.local_fallback:
-                            pending = min(i for i in range(len(tasks))
-                                          if i not in completed)
-                            raise NodeDeath(
-                                pending, 0,
-                                f"no live nodes for {waited:.1f}s and "
-                                "local fallback is disabled")
-                        yield from self._drain_local(
-                            fn, tasks, todo, waiting, completed)
-                        return
-                elif live:
-                    empty_since = None
-
-                self._grant_leases(kind, epoch, tasks, keys, todo, leases,
-                                   live)
-                self._pump_events(kind, epoch, key_to_index, leases, todo,
-                                  waiting, last_failure, completed,
-                                  timeout=poll)
-                # replay buffered yields collected by _pump_events
-                while self._ready:
-                    yield self._ready.popleft()
-                self._sweep_leases(leases, todo, waiting, last_failure)
+                  n_nodes=self._plane.n_nodes, epoch=self._epoch):
+            yield from run_with_retries(self, fn, tasks)
 
     def shutdown(self) -> None:
-        """No-op: the plane is owned (and closed) by its creator."""
+        self._release(list(self._leases))
 
     # ----------------------------------------------------------- plumbing
 
@@ -521,42 +479,35 @@ class DistExecutor:
             return (payload["outcomes"], payload["injected"])
         return (payload["delta_e"], payload["info"], int(payload["n"]))
 
-    def _promote_waiting(self, todo, waiting) -> None:
-        now = time.monotonic()
-        while waiting and waiting[0][0] <= now:
-            _, index, attempts = heapq.heappop(waiting)
-            todo.append((index, attempts))
+    # ------------------------------------------- the retry loop's plane
 
-    def _backoff_requeue(self, todo, waiting, index: int,
-                         attempts: int) -> None:
-        delay = self.policy.backoff_delay(attempts)
-        if delay > 0:
-            heapq.heappush(waiting,
-                           (time.monotonic() + delay, index, attempts))
-        else:
-            todo.append((index, attempts))
+    def _stalled(self, idle: bool) -> bool:
+        """Sweep liveness; stall once no node has been live for
+        ``node_wait_s`` while nothing was leased."""
+        self._plane._sweep_liveness()
+        self._live = [n for n in self._plane.live_nodes()
+                      if n.welcomed_key == self._wkey]
+        if self._live:
+            self._empty_since = None
+        elif idle:
+            now = time.monotonic()
+            if self._empty_since is None:
+                self._empty_since = now
+            return now - self._empty_since >= self._plane.config.node_wait_s
+        return False
 
-    def _retry_or_raise(self, todo, waiting, leases, last_failure,
-                        lease: _Lease, failure: type, detail: str) -> None:
-        """Requeue a failed lease's task, raising once its budget is gone."""
-        attempts = lease.attempts + 1
-        last_failure[lease.index] = failure
-        if attempts > self.policy.max_retries:
-            self._release_all(leases)
-            raise failure(lease.index, attempts, detail)
-        self._backoff_requeue(todo, waiting, lease.index, attempts)
+    def _go_serial(self, pending: int) -> None:
+        """Coordinator-local fallback, unless the config forbids it."""
+        if not self._plane.config.local_fallback:
+            waited = time.monotonic() - self._empty_since
+            raise NodeDeath(pending, 0,
+                            f"no live nodes for {waited:.1f}s and local "
+                            "fallback is disabled")
+        from ..core import campaign as _campaign
+        _campaign._init_worker_direct(self._workload)
 
-    def _release_all(self, leases) -> None:
-        """Forget every outstanding lease (terminal-failure cleanup)."""
-        for lease in leases.values():
-            node = self._plane._nodes.get(lease.node_id)
-            if node is not None:
-                node.inflight.discard(lease.lease_id)
-        leases.clear()
-
-    def _grant_leases(self, kind, epoch, tasks, keys, todo, leases,
-                      live) -> None:
-        """Hand pending chunks to nodes with spare capacity.
+    def _submit(self, index: int, task: Any) -> str | None:
+        """Lease task ``index`` to the least-loaded node with a free slot.
 
         A lease is recorded on its node, under the plane lock and only
         while the node is alive, *before* its frame is sent: a node
@@ -564,150 +515,87 @@ class DistExecutor:
         event, so the chunk is requeued at once instead of waiting out
         its TTL on a dead node.
         """
-        while todo:
-            candidates = [n for n in live
+        while True:
+            candidates = [n for n in self._live
                           if n.alive and len(n.inflight) < n.n_workers]
             if not candidates:
-                return
+                return None
             node = min(candidates, key=lambda n: len(n.inflight))
-            index, attempts = todo.popleft()
-            lease_id = f"L{epoch}-{next(self._seq)}"
+            lease_id = f"L{self._epoch}-{next(self._seq)}"
             with self._plane._lock:
                 granted = node.alive
                 if granted:
                     node.inflight.add(lease_id)
             if not granted:  # died since the candidates were listed
-                live.remove(node)
-                todo.appendleft((index, attempts))
+                self._live.remove(node)
                 continue
-            leases[lease_id] = _Lease(
-                lease_id=lease_id, index=index, attempts=attempts,
-                node_id=node.node_id, key=keys[index],
-                deadline=time.monotonic() + self._plane.config.lease_ttl_s)
-            msg = {"type": "lease", "lease_id": lease_id, "epoch": epoch,
-                   "kind": kind, "key": keys[index],
-                   "task": self._encode_task(kind, tasks[index])}
+            self._leases[lease_id] = node.node_id
+            msg = {"type": "lease", "lease_id": lease_id,
+                   "epoch": self._epoch, "kind": self._kind,
+                   "key": self._keys[index],
+                   "task": self._encode_task(self._kind, task)}
             try:
                 node.send(msg)
             except OSError:
                 # Undo the record: a death event naming it finds no lease.
-                del leases[lease_id]
-                with self._plane._lock:
-                    node.inflight.discard(lease_id)
+                self._release([lease_id])
                 self._plane._kill_node(node.node_id, "lease send failed")
-                live.remove(node)
-                todo.appendleft((index, attempts))
+                self._live.remove(node)
                 continue
-            self.health.attempts += 1
-            if attempts:
-                self.health.retries += 1
-                _inc("resilience.retries")
             _inc("dist.leases_granted")
+            return lease_id
 
-    def _pump_events(self, task_kind, epoch, key_to_index, leases, todo,
-                     waiting, last_failure, completed, timeout) -> None:
-        """Drain the plane's event queue, buffering decoded results."""
-        events = []
+    def _collect(self, inflight, timeout) -> list[tuple]:
+        """Drain the plane's event queue into the loop's events."""
+        frames = []
         try:
-            events.append(self._plane._events.get(timeout=timeout))
+            frames.append(self._plane._events.get(timeout=timeout))
             while True:
-                events.append(self._plane._events.get_nowait())
+                frames.append(self._plane._events.get_nowait())
         except queue.Empty:
             pass
 
-        for tag, node_id, payload, dead_leases in events:
+        events = []
+        for tag, node_id, payload, dead_leases in frames:
             if tag == "dead":
                 self.health.node_deaths += 1
-                for lease_id in dead_leases:
-                    lease = leases.pop(lease_id, None)
-                    if lease is None:
-                        continue
-                    self._retry_or_raise(
-                        todo, waiting, leases, last_failure, lease,
-                        NodeDeath,
-                        f"node {node_id} died while the chunk was leased")
+                lost = [lease_id for lease_id in dead_leases
+                        if self._leases.pop(lease_id, None) is not None]
+                events.append((LOST, lost, f"node {node_id} died while "
+                               "the chunk was leased"))
                 continue
-
             kind = payload.get("type")
-            if payload.get("epoch") != epoch:
+            if payload.get("epoch") != self._epoch:
                 continue  # stale frame from an abandoned phase
-            if kind == "result":
-                lease = leases.pop(payload.get("lease_id", ""), None)
-                if lease is not None:
-                    self._forget(lease)
-                index = key_to_index.get(payload.get("key"))
-                if index is None or index in completed:
-                    continue  # duplicate (expired lease's straggler)
-                # cancel any *other* outstanding lease for the same task
-                for other_id, other in list(leases.items()):
-                    if other.index == index:
-                        self._forget(other)
-                        del leases[other_id]
-                completed.add(index)
-                _inc("dist.results")
-                self._ready.append((index, self._decode_result(
-                    task_kind, payload["payload"])))
-            elif kind == "task_error":
-                lease = leases.pop(payload.get("lease_id", ""), None)
-                if lease is None:
-                    continue
-                self._forget(lease)
-                self.health.task_errors += 1
-                _inc("resilience.task_errors")
-                self._retry_or_raise(
-                    todo, waiting, leases, last_failure, lease, TaskError,
-                    payload.get("error", "task raised on remote node"))
-            elif kind == "node_error":
+            if kind == "node_error":
                 self._plane._kill_node(
                     node_id, payload.get("error", "node_error"))
+                continue
+            lease_id = payload.get("lease_id", "")
+            self._release([lease_id])
+            if kind == "result":
+                # by content key: an expired lease's late result counts
+                index = self._key_to_index.get(payload.get("key"))
+                if index is not None:
+                    _inc("dist.results")
+                    events.append((DONE, lease_id, index, self._decode_result(
+                        self._kind, payload["payload"])))
+            elif kind == "task_error":
+                events.append((FAILED, lease_id, payload.get(
+                    "error", "task raised on remote node"), None))
+        return events
 
-    def _forget(self, lease: _Lease) -> None:
-        node = self._plane._nodes.get(lease.node_id)
-        if node is not None:
-            node.inflight.discard(lease.lease_id)
+    def _expire(self, handles) -> bool:
+        """Expired leases are re-granted; their nodes keep serving."""
+        self._release(handles)
+        self.health.lease_expiries += len(handles)
+        _inc("dist.lease_expiries", len(handles))
+        return False
 
-    def _sweep_leases(self, leases, todo, waiting, last_failure) -> None:
-        """Reassign leases that outlived their TTL on live nodes."""
-        now = time.monotonic()
-        expired = [lease for lease in leases.values()
-                   if now > lease.deadline]
-        for lease in expired:
-            del leases[lease.lease_id]
-            self._forget(lease)
-            self.health.lease_expiries += 1
-            _inc("dist.lease_expiries")
-            self._retry_or_raise(
-                todo, waiting, leases, last_failure, lease, LeaseExpired,
-                f"lease outlived its {self._plane.config.lease_ttl_s:.3g}s "
-                f"TTL {lease.attempts + 1} time(s)")
-
-    def _drain_local(self, fn, tasks, todo, waiting,
-                     completed) -> Iterator[tuple[int, Any]]:
-        """Coordinator-local serial fallback (no nodes available)."""
-        from ..core import campaign as _campaign
-        self.health.degraded_to_serial = True
-        _inc("resilience.degraded_to_serial")
-        _campaign._init_worker_direct(self._workload)
-        for _, index, attempts in waiting:
-            todo.append((index, attempts))
-        waiting.clear()
-        while todo:
-            index, attempts = todo.popleft()
-            while True:
-                self.health.attempts += 1
-                if attempts:
-                    self.health.retries += 1
-                try:
-                    result = fn(tasks[index])
-                except Exception as exc:
-                    self.health.task_errors += 1
-                    attempts += 1
-                    if attempts > self.policy.max_retries:
-                        raise TaskError(index, attempts, repr(exc)) from exc
-                    delay = self.policy.backoff_delay(attempts)
-                    if delay > 0:
-                        time.sleep(delay)
-                else:
-                    completed.add(index)
-                    yield index, result
-                    break
+    def _release(self, handles) -> None:
+        """Forget leases, freeing their nodes' slots."""
+        for lease_id in handles:
+            node_id = self._leases.pop(lease_id, None)
+            node = self._plane._nodes.get(node_id)
+            if node is not None:
+                node.inflight.discard(lease_id)

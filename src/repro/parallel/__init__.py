@@ -26,7 +26,6 @@ __getattr__, __dir__, __all__ = lazy_exports(__name__, globals(), {
     ".resilience": (
         "CampaignExecutionError",
         "CampaignHealth",
-        "ResilientExecutor",
         "RetryPolicy",
         "TaskError",
         "TaskTimeout",

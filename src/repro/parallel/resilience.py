@@ -1,34 +1,39 @@
-"""Fault-tolerant campaign execution.
+"""Fault-tolerant campaign execution: one task loop for the pooled planes.
 
 Exhaustive fault-injection campaigns are the dominant cost of the method
 (the paper rules out the "billions or trillions of runs" of native
 exhaustive injection, §4.1); the campaign harness itself must therefore
-survive the failures a long run will see.  :class:`ResilientExecutor`
-wraps :class:`~repro.parallel.executor.ProcessPoolCampaignExecutor` with:
+survive the failures a long run will see.  :func:`run_with_retries` is
+the task loop of both pooled planes, the local process pool
+(:class:`~repro.parallel.executor.ProcessPoolCampaignExecutor`) and the
+distributed lease plane (:class:`~repro.dist.DistExecutor`).  It owns:
 
 * **per-task retry** — campaign tasks are pure functions of their
   descriptor (index arrays in, reduced arrays out), so re-running a failed
   task is always safe.  Attempts are bounded by
-  :attr:`RetryPolicy.max_retries`.
-* **per-task wall-clock timeouts** — the in-flight window never exceeds
-  the worker count, so a submitted task starts (almost) immediately and
-  its deadline measures actual execution.  A task still running past its
-  deadline is presumed hung; the pool is torn down (workers terminated)
-  and every in-flight task requeued.
-* **worker-crash recovery** — a worker death (OOM kill, segfault,
-  ``SIGKILL``) breaks the whole ``concurrent.futures`` pool.  The pool is
-  rebuilt (bounded by :attr:`RetryPolicy.max_pool_rebuilds`) and in-flight
-  tasks are requeued with their attempt counts bumped, so a poison task
-  that reliably kills its worker cannot loop forever.
-* **graceful degradation** — once pool rebuilds are exhausted the
-  remaining tasks drain through a
-  :class:`~repro.parallel.executor.SerialExecutor` in the parent process
-  (still honouring retry bounds; timeouts cannot be enforced in-process).
+  :attr:`RetryPolicy.max_retries`, and a retry first waits out the
+  policy's backoff.
+* **per-task deadlines** — a deadline is armed when its task can start,
+  not when it is submitted: a pool starts tasks in submission order, so
+  only the first :attr:`TaskPlane.concurrency` in-flight tasks can be
+  running.  What an expired task costs is the plane's business: the pool
+  kills and rebuilds, the dist plane re-grants the chunk.
+* **lost tasks** — a dead worker or node loses every task it held.  They
+  requeue with their attempt counts bumped, so a poison task that
+  reliably kills its worker cannot loop forever.
+* **graceful degradation** — once the plane can run nothing (pool
+  rebuilds exhausted, no node for ``node_wait_s``), the remaining tasks
+  drain in this process through the same loop, still honouring retry
+  bounds and backoff (timeouts cannot be enforced in-process).
+* **release on close** — a stream closed early (its consumer raised,
+  e.g. a cancelled job) hands its in-flight work back to the plane.
 
 Failures carry a structured taxonomy — :class:`TaskError` (the task
 raised), :class:`TaskTimeout` (deadline exceeded), :class:`WorkerDeath`
-(crashed worker) — and every run accumulates a :class:`CampaignHealth`
-record that campaign drivers surface on their results.
+(crashed worker), and the dist plane's :class:`NodeDeath` and
+:class:`LeaseExpired` — and every run accumulates a
+:class:`CampaignHealth` record that campaign drivers surface on their
+results.
 """
 
 from __future__ import annotations
@@ -37,28 +42,24 @@ import heapq
 import random
 import time
 from collections import deque
-from concurrent.futures import FIRST_COMPLETED, CancelledError, Future, wait
-from concurrent.futures.process import BrokenProcessPool
 from dataclasses import dataclass, fields
-from typing import Any, Callable, Iterator, Sequence
+from itertools import islice
+from typing import Any, Callable, Hashable, Iterator, Mapping, Protocol, \
+    Sequence
 
-from ..obs.metrics import absorb_result, inc as _inc
-from .executor import (
-    ProcessPoolCampaignExecutor,
-    SerialExecutor,
-    default_workers,
-)
+from ..obs.metrics import inc as _inc
 
 __all__ = [
     "CampaignExecutionError",
     "CampaignHealth",
     "LeaseExpired",
     "NodeDeath",
-    "ResilientExecutor",
     "RetryPolicy",
     "TaskError",
+    "TaskPlane",
     "TaskTimeout",
     "WorkerDeath",
+    "run_with_retries",
 ]
 
 
@@ -120,22 +121,27 @@ class LeaseExpired(CampaignExecutionError):
 
 @dataclass(frozen=True)
 class RetryPolicy:
-    """Bounds on the resilience layer's recovery behaviour.
+    """Bounds on the task loop's recovery behaviour.
+
+    Both pooled planes run under one; a campaign that passes none gets
+    ``RetryPolicy()``.
 
     Attributes
     ----------
     max_retries:
-        Re-runs allowed per task after its first attempt.  A task is in
-        flight during a pool crash counts an attempt too, bounding poison
-        tasks.
+        Re-runs allowed per task after its first attempt.  A task in
+        flight when its worker or node dies counts an attempt too,
+        bounding poison tasks.
     task_timeout:
-        Per-attempt wall-clock deadline in seconds; ``None`` disables
-        timeout enforcement.
+        Pool only: per-attempt wall-clock deadline in seconds, counted
+        from when the task can start; ``None`` disables it.  The dist
+        plane's deadline is its ``lease_ttl_s``.
     max_pool_rebuilds:
-        Pool reconstructions allowed (worker crash or hung-task teardown)
-        before degrading to serial execution.
+        Pool only: rebuilds allowed (worker crash or hung-task teardown)
+        before the remaining tasks drain serially in this process.
     poll_interval:
-        Seconds between deadline sweeps while any timeout is armed.
+        Seconds between deadline sweeps while a deadline or a backoff is
+        pending (the dist plane always has its lease deadline).
     backoff_base:
         First-retry delay in seconds.  ``0`` (the default) retries
         immediately; a positive base delays the *n*-th retry of a task by
@@ -267,282 +273,223 @@ class CampaignHealth:
         return " ".join(parts)
 
 
-# --------------------------------------------------------------- executor
+# ------------------------------------------------------------- task loop
+
+#: Event kinds a plane's ``_collect`` reports:
+#: ``(DONE, handle, index, result)`` — a task finished; ``handle`` may
+#: name an attempt the loop already gave up on (a straggler), whose
+#: result still counts;
+#: ``(FAILED, handle, detail, cause)`` — the task raised;
+#: ``(LOST, handles, detail)`` — a worker or node died holding these.
+DONE, FAILED, LOST = "done", "failed", "lost"
 
 
-class ResilientExecutor:
-    """Fault-tolerant process-pool executor for campaign tasks.
+class TaskPlane(Protocol):
+    """What :func:`run_with_retries` needs of an execution plane.
 
-    Drop-in :class:`~repro.parallel.executor.CampaignExecutor`: same
-    ``run`` / ``run_stream`` / ``shutdown`` surface, plus a
-    :attr:`health` record accumulated across runs.  Tasks must be pure
-    (retries re-run them) and the worker function must be a module-level
-    picklable callable, exactly as for the plain pool executor.
-
-    ``initializer`` / ``initargs`` set up the serial fallback in this
-    process, and the workers of every pool unless ``pool_factory`` (a
-    zero-argument callable returning a
-    :class:`~repro.parallel.executor.ProcessPoolCampaignExecutor`) builds
-    the pools instead.  Each build, rebuilds included, is a new pool, so
-    :func:`~repro.parallel.executor.pool_start_method` is applied afresh.
+    A handle is whatever names one submitted attempt on the plane (a
+    future, a lease id).  The loop keeps in-flight handles in submission
+    order and tells the plane, through ``_expire`` and ``_release``,
+    which ones it stops waiting for.
     """
 
-    def __init__(
-        self,
-        initializer: Callable[..., None] | None = None,
-        initargs: tuple = (),
-        n_workers: int | None = None,
-        policy: RetryPolicy | None = None,
-        pool_factory: Callable[[], ProcessPoolCampaignExecutor] | None = None,
-    ):
-        if n_workers is not None and n_workers < 1:
-            raise ValueError("need at least one worker")
-        self.n_workers = n_workers or default_workers()
-        self.policy = policy or RetryPolicy()
-        self.health = CampaignHealth()
-        self._initializer = initializer
-        self._initargs = initargs
-        self._pool_factory = pool_factory or (
-            lambda: ProcessPoolCampaignExecutor(
-                initializer=initializer, initargs=initargs,
-                n_workers=self.n_workers))
-        self._pool: ProcessPoolCampaignExecutor | None = None
-        self._serial: SerialExecutor | None = None
-        self._shut = False
-        self._rng = random.Random()  # backoff jitter source
+    policy: RetryPolicy
+    health: CampaignHealth
+    #: raised when lost workers or nodes spend a task's retry budget
+    lost: type[CampaignExecutionError]
+    #: raised when expiries spend a task's retry budget
+    expired: type[CampaignExecutionError]
+    #: most tasks in flight; ``None`` lets ``_submit`` decide
+    window: int | None
+    #: how many in-flight tasks, in submission order, can be running
+    #: (their deadlines are armed); ``None`` means all of them
+    concurrency: int | None
+    #: per-attempt deadline in seconds once a task can run, or ``None``
+    deadline_s: float | None
 
-    # ------------------------------------------------------------- public
+    def _submit(self, index: int, task: Any) -> Hashable | None:
+        """Start ``task``, number ``index``; ``None`` when the plane has
+        no room now."""
 
-    def run(self, fn: Callable[[Any], Any], tasks: Sequence[Any]) -> list[Any]:
-        results: list[Any] = [None] * len(tasks)
-        for index, result in self.run_stream(fn, tasks):
-            results[index] = result
-        return results
+    def _collect(self, inflight: Mapping[Hashable, Any],
+                 timeout: float | None) -> list[tuple]:
+        """Events that arrived within ``timeout`` seconds (``None``:
+        block until one does)."""
 
-    def run_stream(self, fn: Callable[[Any], Any],
-                   tasks: Sequence[Any]) -> Iterator[tuple[int, Any]]:
-        """Yield ``(task_index, result)`` in completion order.
+    def _expire(self, handles: list) -> bool:
+        """Count and drop attempts past their deadline; ``True`` when
+        every other in-flight attempt was lost with them."""
 
-        Raises the structured failure (:class:`TaskError`,
-        :class:`TaskTimeout`, :class:`WorkerDeath`) of the first task whose
-        retry budget runs out; the pool is shut down by the caller via
-        :meth:`shutdown` as usual.
-        """
-        tasks = list(tasks)
-        todo: deque[tuple[int, int]] = deque((i, 0) for i in range(len(tasks)))
-        #: retries serving their backoff delay: heap of
-        #: ``(eligible_at, index, attempts)``
-        waiting: list[tuple[float, int, int]] = []
-        inflight: dict[Future, tuple[int, int, float | None]] = {}
+    def _release(self, handles: list) -> None:
+        """Stop working on attempts the loop no longer waits for."""
 
-        while todo or inflight or waiting:
-            self._promote_waiting(todo, waiting)
-            if self._serial is not None:
-                for index, attempts, _ in inflight.values():
-                    todo.append((index, attempts))
-                inflight.clear()
-                for _, index, attempts in waiting:
-                    todo.append((index, attempts))
-                waiting.clear()
-                while todo:
-                    index, attempts = todo.popleft()
-                    yield index, self._run_serial(fn, tasks[index], index,
-                                                  attempts)
-                return
+    def _stalled(self, idle: bool) -> bool:
+        """Whether the plane can run no more tasks, so the rest must
+        drain in this process.  Called once per round; ``idle`` says
+        nothing is in flight, and a plane stalls only then."""
 
-            self._fill_window(fn, tasks, todo, waiting, inflight)
-            if not inflight:  # submission broke the pool, or all retries
-                if not todo and waiting:  # are backing off: sleep, retry
-                    delay = max(0.0, waiting[0][0] - time.monotonic())
-                    time.sleep(min(delay, self.policy.poll_interval))
-                continue
+    def _go_serial(self, pending: int) -> None:
+        """Prepare this process to run tasks (``pending`` is the first
+        unfinished one), or raise when the plane forbids it."""
 
-            timeout = (self.policy.poll_interval
-                       if self.policy.task_timeout is not None or waiting
-                       else None)
-            done, _ = wait(set(inflight), timeout=timeout,
-                           return_when=FIRST_COMPLETED)
 
-            broke = False
-            for fut in done:
-                index, attempts, _ = inflight.pop(fut)
-                try:
-                    result = fut.result()
-                except BrokenProcessPool:
-                    broke = True
-                    self._requeue_crashed(todo, waiting, index, attempts)
-                except CancelledError:
-                    todo.append((index, attempts))
-                except Exception as exc:
-                    self.health.task_errors += 1
-                    _inc("resilience.task_errors")
-                    if attempts + 1 > self.policy.max_retries:
-                        raise TaskError(index, attempts + 1,
-                                        repr(exc)) from exc
-                    self._backoff_requeue(todo, waiting, index, attempts + 1)
-                else:
-                    yield index, absorb_result(result)
+@dataclass(slots=True)
+class _Attempt:
+    index: int
+    attempts: int
+    deadline: float | None = None
 
-            if broke:
-                self.health.worker_deaths += 1
-                _inc("resilience.worker_deaths")
-                for index, attempts, _ in inflight.values():
-                    self._requeue_crashed(todo, waiting, index, attempts)
-                inflight.clear()
-                self._recover_pool()
-            elif self.policy.task_timeout is not None:
-                self._sweep_deadlines(todo, waiting, inflight)
 
-    def shutdown(self) -> None:
-        """Release pool and fallback resources.  Idempotent."""
-        if self._shut:
-            return
-        self._shut = True
-        if self._pool is not None:
-            self._pool.shutdown()
-        if self._serial is not None:
-            self._serial.shutdown()
+class _InProcess:
+    """The serial drain as a plane: each task runs in this process as it
+    is submitted."""
 
-    def __enter__(self) -> "ResilientExecutor":
-        return self
+    window = 1
+    concurrency = None
+    deadline_s = None
 
-    def __exit__(self, *exc) -> None:
-        self.shutdown()
+    def __init__(self, fn: Callable[[Any], Any]):
+        self._fn = fn
+        self._events: list[tuple] = []
 
-    # ----------------------------------------------------------- plumbing
+    def _submit(self, index: int, task: Any) -> Hashable:
+        handle = object()
+        try:
+            result = self._fn(task)
+        except Exception as exc:
+            self._events.append((FAILED, handle, repr(exc), exc))
+        else:
+            self._events.append((DONE, handle, index, result))
+        return handle
 
-    def _ensure_pool(self) -> ProcessPoolCampaignExecutor:
-        if self._pool is None:
-            self._pool = self._pool_factory()
-        return self._pool
+    def _collect(self, inflight, timeout) -> list[tuple]:
+        events, self._events = self._events, []
+        if not events and timeout:  # every task is serving its backoff
+            time.sleep(timeout)
+        return events
 
-    def _promote_waiting(self, todo, waiting) -> None:
-        """Move backoff-expired retries back onto the ready queue."""
-        now = time.monotonic()
-        while waiting and waiting[0][0] <= now:
-            _, index, attempts = heapq.heappop(waiting)
-            todo.append((index, attempts))
+    def _release(self, handles) -> None:
+        return None
 
-    def _backoff_requeue(self, todo, waiting, index: int,
-                         attempts: int) -> None:
-        """Requeue a retry, honouring the policy's exponential backoff."""
-        delay = self.policy.backoff_delay(attempts, self._rng)
+    def _stalled(self, idle: bool) -> bool:
+        return False
+
+
+def run_with_retries(plane: TaskPlane, fn: Callable[[Any], Any],
+                     tasks: Sequence[Any]) -> Iterator[tuple[int, Any]]:
+    """Run every task on ``plane``; yield ``(index, result)`` as each
+    first completes.
+
+    Raises the structured failure of the first task whose retry budget
+    runs out (:class:`TaskError`, or the plane's ``lost`` / ``expired``
+    class), after releasing the plane's in-flight work — as does closing
+    the stream early.
+    """
+    policy, health = plane.policy, plane.health
+    n = len(tasks)
+    todo: deque[tuple[int, int]] = deque((i, 0) for i in range(n))
+    #: retries serving their backoff: heap of (eligible_at, index, attempts)
+    waiting: list[tuple[float, int, int]] = []
+    inflight: dict[Hashable, _Attempt] = {}
+    done: set[int] = set()
+    lane: Any = plane
+
+    def retry(index: int, attempts: int, failure: type, detail: str,
+              cause: BaseException | None = None) -> None:
+        if attempts > policy.max_retries:
+            raise failure(index, attempts, detail) from cause
+        delay = policy.backoff_delay(attempts)
         if delay > 0:
             heapq.heappush(waiting,
                            (time.monotonic() + delay, index, attempts))
         else:
             todo.append((index, attempts))
 
-    def _fill_window(self, fn, tasks, todo, waiting, inflight) -> None:
-        """Submit until the in-flight window matches the worker count.
-
-        Capping in-flight tasks at the pool width keeps per-task deadlines
-        honest (a submitted task is picked up immediately) and bounds the
-        work lost to a pool crash.
-        """
-        while todo and len(inflight) < self.n_workers:
-            index, attempts = todo.popleft()
-            try:
-                fut = self._ensure_pool().submit(fn, tasks[index])
-            except BrokenProcessPool:
-                todo.appendleft((index, attempts))
-                self.health.worker_deaths += 1
-                _inc("resilience.worker_deaths")
-                for idx, att, _ in inflight.values():
-                    self._requeue_crashed(todo, waiting, idx, att)
-                inflight.clear()
-                self._recover_pool()
-                return
-            self.health.attempts += 1
-            if attempts:
-                self.health.retries += 1
-                _inc("resilience.retries")
-            deadline = (time.monotonic() + self.policy.task_timeout
-                        if self.policy.task_timeout is not None else None)
-            inflight[fut] = (index, attempts, deadline)
-
-    def _requeue_crashed(self, todo, waiting, index: int,
-                         attempts: int) -> None:
-        """Requeue a task that was in flight when the pool broke.
-
-        Every in-flight task's attempt count is bumped: one of them is the
-        potential poison task, and bounding all of them guarantees progress
-        even when the culprit cannot be identified.
-        """
-        if attempts + 1 > self.policy.max_retries:
-            raise WorkerDeath(index, attempts + 1,
-                              "worker process died while the task was "
-                              "in flight")
-        self._backoff_requeue(todo, waiting, index, attempts + 1)
-
-    def _sweep_deadlines(self, todo, waiting, inflight) -> None:
-        """Abandon in-flight tasks that outlived their deadline."""
-        now = time.monotonic()
-        expired = [fut for fut, (_, _, deadline) in inflight.items()
-                   if deadline is not None and now > deadline]
-        if not expired:
-            return
-        hung = False
-        for fut in expired:
-            index, attempts, _ = inflight.pop(fut)
-            self.health.timeouts += 1
-            _inc("resilience.timeouts")
-            if fut.cancel():
-                # never started (pool was mid-rebuild); not the task's fault
+    try:
+        while len(done) < n:
+            now = time.monotonic()
+            while waiting and waiting[0][0] <= now:
+                _, index, attempts = heapq.heappop(waiting)
                 todo.append((index, attempts))
-                continue
-            hung = True
-            if attempts + 1 > self.policy.max_retries:
-                self._teardown_hung_pool(todo, inflight)
-                raise TaskTimeout(
-                    index, attempts + 1,
-                    f"exceeded {self.policy.task_timeout:.3g}s wall-clock "
-                    f"deadline")
-            self._backoff_requeue(todo, waiting, index, attempts + 1)
-        if hung:
-            # A hung worker cannot be reclaimed: tear the pool down and
-            # requeue the innocent in-flight tasks at their current attempt
-            # count.
-            self._teardown_hung_pool(todo, inflight)
-            self._recover_pool()
 
-    def _teardown_hung_pool(self, todo, inflight) -> None:
-        for index, attempts, _ in inflight.values():
-            todo.append((index, attempts))
-        inflight.clear()
-        if self._pool is not None:
-            self._pool.kill()
-            self._pool = None
+            if lane._stalled(not inflight):
+                plane._go_serial(next(i for i in range(n) if i not in done))
+                if not health.degraded_to_serial:
+                    health.degraded_to_serial = True
+                    _inc("resilience.degraded_to_serial")
+                lane = _InProcess(fn)
 
-    def _recover_pool(self) -> None:
-        """Rebuild the pool, or degrade to serial once rebuilds run out."""
-        if self._pool is not None:
-            self._pool.kill()
-            self._pool = None
-        if self.health.pool_rebuilds >= self.policy.max_pool_rebuilds:
-            self.health.degraded_to_serial = True
-            _inc("resilience.degraded_to_serial")
-            self._serial = SerialExecutor(initializer=self._initializer,
-                                          initargs=self._initargs)
-            return
-        self.health.pool_rebuilds += 1
-        _inc("resilience.pool_rebuilds")
-        self._ensure_pool()
+            while todo and (lane.window is None
+                            or len(inflight) < lane.window):
+                index, attempts = todo[0]
+                if index in done:  # a straggler's result already came
+                    todo.popleft()
+                    continue
+                handle = lane._submit(index, tasks[index])
+                if handle is None:
+                    break
+                todo.popleft()
+                inflight[handle] = _Attempt(index, attempts)
+                health.attempts += 1
+                if attempts:
+                    health.retries += 1
+                    _inc("resilience.retries")
 
-    def _run_serial(self, fn, task, index: int, attempts: int) -> Any:
-        """Serial fallback with the same bounded-retry/backoff semantics."""
-        while True:
-            self.health.attempts += 1
-            if attempts:
-                self.health.retries += 1
-            try:
-                return fn(task)
-            except Exception as exc:
-                self.health.task_errors += 1
-                _inc("resilience.task_errors")
-                attempts += 1
-                if attempts > self.policy.max_retries:
-                    raise TaskError(index, attempts, repr(exc)) from exc
-                delay = self.policy.backoff_delay(attempts, self._rng)
-                if delay > 0:
-                    time.sleep(delay)
+            deadline_s = lane.deadline_s
+            if deadline_s is not None:
+                now = time.monotonic()
+                for attempt in islice(inflight.values(), lane.concurrency):
+                    if attempt.deadline is None:
+                        attempt.deadline = now + deadline_s
+            timeout = (policy.poll_interval
+                       if deadline_s is not None or waiting else None)
+
+            for event in lane._collect(inflight, timeout):
+                if event[0] == DONE:
+                    _, handle, index, result = event
+                    attempt = inflight.pop(handle, None)
+                    if index in done:
+                        continue
+                    done.add(index)
+                    if attempt is None:  # a straggler beat the retry
+                        moot = [h for h, a in inflight.items()
+                                if a.index == index]
+                        for h in moot:
+                            del inflight[h]
+                        lane._release(moot)
+                    yield index, result
+                elif event[0] == FAILED:
+                    _, handle, detail, cause = event
+                    attempt = inflight.pop(handle, None)
+                    if attempt is None:
+                        continue
+                    health.task_errors += 1
+                    _inc("resilience.task_errors")
+                    retry(attempt.index, attempt.attempts + 1, TaskError,
+                          detail, cause)
+                else:
+                    _, handles, detail = event
+                    for handle in handles:
+                        attempt = inflight.pop(handle, None)
+                        if attempt is not None:
+                            retry(attempt.index, attempt.attempts + 1,
+                                  plane.lost, detail)
+
+            if deadline_s is not None:
+                now = time.monotonic()
+                expired = [h for h, a in inflight.items()
+                           if a.deadline is not None and now > a.deadline]
+                if expired:
+                    others_lost = lane._expire(expired)
+                    hung = [inflight.pop(h) for h in expired]
+                    if others_lost:  # requeued as they were: not their fault
+                        todo.extend((a.index, a.attempts)
+                                    for a in inflight.values())
+                        inflight.clear()
+                    for attempt in hung:
+                        retry(attempt.index, attempt.attempts + 1,
+                              plane.expired,
+                              f"outlived its {deadline_s:.3g}s deadline")
+    finally:
+        if inflight:
+            lane._release(list(inflight))

@@ -12,7 +12,8 @@ import pytest
 
 from repro.core import CampaignConfig, infer_boundary, run_campaign
 from repro.core.campaign import _campaign_executor, _plane
-from repro.parallel.resilience import ResilientExecutor, RetryPolicy
+from repro.parallel.executor import ProcessPoolCampaignExecutor
+from repro.parallel.resilience import RetryPolicy
 
 #: pooled planes by test id -> the config that selects them
 PLANES = {"processes": {"n_workers": 2}}
@@ -68,7 +69,8 @@ class TestExecutorResolution:
     def test_auto_needs_processes_for_retry_isolation(self, cg_tiny):
         policy = RetryPolicy(max_retries=1)
         with _campaign_executor(cg_tiny, 2, policy) as pool:
-            assert isinstance(pool, ResilientExecutor)
+            assert isinstance(pool, ProcessPoolCampaignExecutor)
+            assert pool.policy is policy
 
     def test_threads_with_retry_policy_rejected(self):
         """There is no thread plane, and no knob to ask for one."""

@@ -18,7 +18,6 @@ import multiprocessing
 import os
 import signal
 import threading
-from concurrent.futures.process import BrokenProcessPool
 
 import numpy as np
 import pytest
@@ -29,6 +28,7 @@ from repro.core import run_campaign
 from repro.core.checkpoint import CampaignCheckpoint
 from repro.dist import DistConfig, DistPlane, NodeAgent
 from repro.parallel.executor import pool_start_method
+from repro.parallel.resilience import RetryPolicy, WorkerDeath
 
 from tests.helpers import extra_thread, run_fresh
 
@@ -177,13 +177,13 @@ serial = core.run_campaign(bare, mode="exhaustive").exhaustive
 here.KILL_MARKER = sys.argv[1]
 campaign._task_outcomes = here._outcomes_killing_once
 methods = []
+build = campaign._process_pool
 
-class Recording(campaign.ProcessPoolCampaignExecutor):
-    def __init__(self, *args, **kwargs):
-        super().__init__(*args, **kwargs)
-        methods.append(self.start_method)
+def recording(*args):
+    methods.append(campaign.pool_start_method())
+    return build(*args)
 
-campaign.ProcessPoolCampaignExecutor = Recording
+campaign._process_pool = recording
 assert threading.active_count() == 1
 result = core.run_campaign(bare, mode="exhaustive", n_workers=2,
                            retry_policy=RetryPolicy(max_retries=2))
@@ -226,9 +226,11 @@ class TestForkserverTeardown:
         assert set(multiprocessing.active_children()) <= before
 
     def test_killed_worker_leaves_no_child(self, cg_tiny):
+        # No retry: after a rebuild the serial drain would run _die here.
         before = set(multiprocessing.active_children())
-        with pytest.raises(BrokenProcessPool), extra_thread():
-            with campaign_mod._campaign_executor(cg_tiny, 2) as pool:
+        with pytest.raises(WorkerDeath), extra_thread():
+            with campaign_mod._campaign_executor(
+                    cg_tiny, 2, RetryPolicy(max_retries=0)) as pool:
                 pool.run(_die, [np.arange(4)])
         assert set(multiprocessing.active_children()) <= before
 
@@ -242,12 +244,18 @@ class TestForkserverTeardown:
         assert set(multiprocessing.active_children()) <= before
 
 
-class _CountingPool(campaign_mod.ProcessPoolCampaignExecutor):
-    built = 0
+def _count_builds(monkeypatch) -> list:
+    """Record every pool the campaigns build (each ``_process_pool``
+    call)."""
+    builds = []
+    build = campaign_mod._process_pool
 
-    def __init__(self, *args, **kwargs):
-        type(self).built += 1
-        super().__init__(*args, **kwargs)
+    def counting(*args):
+        builds.append(args)
+        return build(*args)
+
+    monkeypatch.setattr(campaign_mod, "_process_pool", counting)
+    return builds
 
 
 class TestOnePoolPerCampaign:
@@ -256,13 +264,11 @@ class TestOnePoolPerCampaign:
         {"mode": "adaptive", "seed": 1},
     ], ids=["monte_carlo", "adaptive"])
     def test_campaign_builds_one_pool(self, cg_tiny, monkeypatch, config):
-        monkeypatch.setattr(_CountingPool, "built", 0)
-        monkeypatch.setattr(campaign_mod, "ProcessPoolCampaignExecutor",
-                            _CountingPool)
+        builds = _count_builds(monkeypatch)
         result = run_campaign(cg_tiny, n_workers=2, **config)
         if config["mode"] == "adaptive":
             assert result.rounds > 1
-        assert _CountingPool.built == 1
+        assert len(builds) == 1
 
     def test_resumed_campaign_builds_no_pool(self, cg_tiny, monkeypatch,
                                              tmp_path):
@@ -270,12 +276,27 @@ class TestOnePoolPerCampaign:
         whose checkpoint holds every chunk starts none."""
         cp = CampaignCheckpoint(tmp_path / "cp", cg_tiny)
         first = run_campaign(cg_tiny, mode="exhaustive", checkpoint=cp)
-        monkeypatch.setattr(_CountingPool, "built", 0)
-        monkeypatch.setattr(campaign_mod, "ProcessPoolCampaignExecutor",
-                            _CountingPool)
+        builds = _count_builds(monkeypatch)
         again = run_campaign(cg_tiny, mode="exhaustive", n_workers=2,
                              checkpoint=CampaignCheckpoint(
                                  tmp_path / "cp", cg_tiny, resume=True))
-        assert _CountingPool.built == 0
+        assert len(builds) == 0
+        np.testing.assert_array_equal(again.exhaustive.outcomes,
+                                      first.exhaustive.outcomes)
+
+    def test_resumed_campaign_builds_no_replay_plan(self, monkeypatch,
+                                                    tmp_path):
+        """Nor does it plan a replay: a fresh workload's trace still
+        holds no replay plan after the resumed pool campaign."""
+        first = run_campaign(build("cg"), mode="exhaustive",
+                             checkpoint=CampaignCheckpoint(tmp_path / "cp",
+                                                           build("cg")))
+        fresh = build("cg")
+        builds = _count_builds(monkeypatch)
+        again = run_campaign(fresh, mode="exhaustive", n_workers=2,
+                             checkpoint=CampaignCheckpoint(
+                                 tmp_path / "cp", fresh, resume=True))
+        assert len(builds) == 0
+        assert "_replay_plan" not in vars(fresh.trace)
         np.testing.assert_array_equal(again.exhaustive.outcomes,
                                       first.exhaustive.outcomes)

@@ -255,3 +255,42 @@ class TestFailureRecovery:
         assert not result.health.degraded_to_serial
         np.testing.assert_array_equal(result.exhaustive.outcomes,
                                       cg_tiny_golden.outcomes)
+
+
+class TestCancelledPhase:
+    def test_cancelled_phase_frees_its_nodes(self, cg_tiny, cg_tiny_golden):
+        """A phase abandoned at a ``yield`` (a cancelled job) gives its
+        lease slots back: once the node has answered, it holds none, and
+        the next phase leases it ``n_workers`` chunks at once."""
+        with DistPlane(DistConfig()) as plane:
+            (agent,), _ = _start_nodes(plane, 1, n_workers=2)
+            node, = plane.live_nodes()
+            send, granted, held = node.send, {}, []
+
+            def recording(msg):
+                if msg.get("type") == "lease":
+                    granted[msg["lease_id"]] = msg["epoch"]
+                    held.append(sum(granted.get(lease) == msg["epoch"]
+                                    for lease in node.inflight))
+                send(msg)
+
+            node.send = recording
+
+            def cancel(done, total, phase):
+                raise RuntimeError("cancelled")
+
+            config = core.CampaignConfig(mode="exhaustive", dist=plane,
+                                         batch_budget=1 << 14)
+            with pytest.raises(RuntimeError, match="cancelled"):
+                core.run_campaign(cg_tiny, config, progress=cancel)
+            deadline = time.monotonic() + 30
+            while agent.leases_served < len(granted):
+                assert time.monotonic() < deadline, "node never answered"
+                time.sleep(0.01)
+            assert all(not n.inflight for n in plane.live_nodes())
+
+            held.clear()
+            result = core.run_campaign(cg_tiny, config)
+            assert max(held) == node.n_workers
+        np.testing.assert_array_equal(result.exhaustive.outcomes,
+                                      cg_tiny_golden.outcomes)

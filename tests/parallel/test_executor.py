@@ -29,14 +29,15 @@ def _square(x):
 
 KILL_SCRIPT = """
 import os, threading
-from concurrent.futures.process import BrokenProcessPool
 from repro.parallel.executor import ProcessPoolCampaignExecutor, \\
     pool_start_method
-pool = ProcessPoolCampaignExecutor(n_workers=2)
+from repro.parallel.resilience import RetryPolicy, WorkerDeath
+pool = ProcessPoolCampaignExecutor(n_workers=2,
+                                   policy=RetryPolicy(max_retries=0))
 assert pool.start_method == "fork"
 try:
     pool.run(os._exit, [1])
-except BrokenProcessPool:
+except WorkerDeath:
     pass
 else:
     raise AssertionError("the worker did not die")
@@ -82,10 +83,6 @@ class TestProcessPoolExecutor:
     def test_invalid_worker_count_rejected(self):
         with pytest.raises(ValueError):
             ProcessPoolCampaignExecutor(n_workers=0)
-
-    def test_invalid_chunksize_rejected(self):
-        with pytest.raises(ValueError):
-            ProcessPoolCampaignExecutor(n_workers=2, chunksize=0)
 
     def test_run_stream_yields_all_results(self):
         tasks = list(range(12))

@@ -1,4 +1,4 @@
-"""Tests for the fault-tolerant campaign executor.
+"""Tests for the fault-tolerant task loop under the process pool.
 
 Fault injection into the *harness* itself works through file sentinels:
 each task carries an optional marker path, and a worker misbehaves only
@@ -17,9 +17,9 @@ import pytest
 from repro.core import campaign as campaign_mod, run_campaign
 from repro.core import run_campaign, uniform_sample
 from repro.core.experiment import SampleSpace
+from repro.parallel.executor import ProcessPoolCampaignExecutor
 from repro.parallel.resilience import (
     CampaignHealth,
-    ResilientExecutor,
     RetryPolicy,
     TaskError,
     TaskTimeout,
@@ -73,6 +73,19 @@ def _hang_once(task):
 
 def _hang_always(task):
     time.sleep(60)
+
+
+def _sleep_then_square(task):
+    time.sleep(0.3)
+    return _square(task)
+
+
+def _mark_then_nap(task):
+    """Leave a marker file named after the task, then take 50 ms."""
+    i, marker_dir = task
+    open(os.path.join(marker_dir, f"ran-{i}"), "w").close()
+    time.sleep(0.05)
+    return i
 
 
 def _tasks(n, tmp_path=None, bad=()):
@@ -210,14 +223,18 @@ class TestCampaignHealth:
 
 
 class TestResilientExecutor:
+    """The pool's recovery: every ``ProcessPoolCampaignExecutor`` runs
+    the retry loop."""
+
     def test_clean_run_matches_serial(self, tmp_path):
-        ex = ResilientExecutor(n_workers=2)
+        ex = ProcessPoolCampaignExecutor(n_workers=2)
         assert _run(ex, _square, _tasks(8)) == EXPECTED
         assert ex.health.clean
         assert ex.health.attempts == 8
 
     def test_failed_task_retried(self, tmp_path):
-        ex = ResilientExecutor(n_workers=2, policy=RetryPolicy(max_retries=2))
+        ex = ProcessPoolCampaignExecutor(
+            n_workers=2, policy=RetryPolicy(max_retries=2))
         results = _run(ex, _fail_once, _tasks(8, tmp_path, bad={3}))
         assert results == EXPECTED
         assert ex.health.task_errors == 1
@@ -225,7 +242,8 @@ class TestResilientExecutor:
         assert not ex.health.clean
 
     def test_retry_budget_exhausted_raises_task_error(self):
-        ex = ResilientExecutor(n_workers=2, policy=RetryPolicy(max_retries=1))
+        ex = ProcessPoolCampaignExecutor(
+            n_workers=2, policy=RetryPolicy(max_retries=1))
         with pytest.raises(TaskError) as excinfo:
             _run(ex, _always_fail, _tasks(4))
         assert excinfo.value.attempts == 2
@@ -234,7 +252,8 @@ class TestResilientExecutor:
     def test_worker_death_recovered_with_requeue(self, tmp_path):
         """A SIGKILL'd worker breaks the pool; in-flight tasks requeue and
         the rebuilt pool produces results identical to a serial run."""
-        ex = ResilientExecutor(n_workers=2, policy=RetryPolicy(max_retries=2))
+        ex = ProcessPoolCampaignExecutor(
+            n_workers=2, policy=RetryPolicy(max_retries=2))
         results = _run(ex, _die_once, _tasks(8, tmp_path, bad={2}))
         assert results == EXPECTED
         assert ex.health.worker_deaths >= 1
@@ -246,13 +265,13 @@ class TestResilientExecutor:
         """A task that kills its worker on every attempt must not loop:
         its bumped attempt count exhausts the retry budget."""
         policy = RetryPolicy(max_retries=1, max_pool_rebuilds=10)
-        ex = ResilientExecutor(n_workers=2, policy=policy)
+        ex = ProcessPoolCampaignExecutor(n_workers=2, policy=policy)
         with pytest.raises(WorkerDeath):
             _run(ex, _die_always, _tasks(2))
 
     def test_degrades_to_serial_when_rebuilds_exhausted(self, tmp_path):
         policy = RetryPolicy(max_retries=2, max_pool_rebuilds=0)
-        ex = ResilientExecutor(n_workers=2, policy=policy)
+        ex = ProcessPoolCampaignExecutor(n_workers=2, policy=policy)
         results = _run(ex, _die_once, _tasks(8, tmp_path, bad={1}))
         assert results == EXPECTED
         assert ex.health.degraded_to_serial
@@ -261,7 +280,7 @@ class TestResilientExecutor:
     def test_hung_task_times_out_and_completes(self, tmp_path):
         policy = RetryPolicy(max_retries=2, task_timeout=0.5,
                              poll_interval=0.02)
-        ex = ResilientExecutor(n_workers=2, policy=policy)
+        ex = ProcessPoolCampaignExecutor(n_workers=2, policy=policy)
         start = time.monotonic()
         results = _run(ex, _hang_once, _tasks(8, tmp_path, bad={0}))
         elapsed = time.monotonic() - start
@@ -273,12 +292,12 @@ class TestResilientExecutor:
     def test_timeout_budget_exhausted_raises(self, tmp_path):
         policy = RetryPolicy(max_retries=0, task_timeout=0.3,
                              poll_interval=0.02)
-        ex = ResilientExecutor(n_workers=2, policy=policy)
+        ex = ProcessPoolCampaignExecutor(n_workers=2, policy=policy)
         with pytest.raises(TaskTimeout):
             _run(ex, _hang_always, _tasks(2))
 
     def test_run_stream_yields_every_index_once(self, tmp_path):
-        ex = ResilientExecutor(n_workers=2)
+        ex = ProcessPoolCampaignExecutor(n_workers=2)
         try:
             seen = dict(ex.run_stream(_square, _tasks(10)))
         finally:
@@ -286,14 +305,36 @@ class TestResilientExecutor:
         assert seen == {i: i * i for i in range(10)}
 
     def test_shutdown_idempotent(self):
-        ex = ResilientExecutor(n_workers=2)
+        ex = ProcessPoolCampaignExecutor(n_workers=2)
         ex.run(_square, _tasks(2))
         ex.shutdown()
         ex.shutdown()
 
     def test_invalid_worker_count_rejected(self):
         with pytest.raises(ValueError):
-            ResilientExecutor(n_workers=0)
+            ProcessPoolCampaignExecutor(n_workers=0)
+
+    def test_deadline_runs_from_start_not_submission(self):
+        """The window holds more tasks than workers, so a task may wait
+        behind others before it starts; that wait is not its time."""
+        policy = RetryPolicy(max_retries=0, task_timeout=0.5)
+        ex = ProcessPoolCampaignExecutor(n_workers=2, policy=policy)
+        assert _run(ex, _sleep_then_square, _tasks(6)) == EXPECTED[:6]
+        assert ex.health.timeouts == 0
+
+
+class TestReleaseOnClose:
+    def test_pool_runs_no_more_than_its_window(self, cg_tiny, tmp_path):
+        """A consumer that stops mid-stream (the job service's cancel or
+        claim-lost hook raising from ``progress.update``) leaves only the
+        in-flight window to finish; the other tasks never run."""
+        tasks = [(i, str(tmp_path)) for i in range(40)]
+        with pytest.raises(RuntimeError, match="cancelled"):
+            with campaign_mod._campaign_executor(cg_tiny, 2) as pool:
+                stream = pool.run_stream(_mark_then_nap, tasks)
+                for _ in stream:  # held open, as campaign drivers do
+                    raise RuntimeError("cancelled")
+        assert len(list(tmp_path.glob("ran-*"))) <= 1 + pool.window
 
 
 # ------------------------------------------------- campaign-level resilience
@@ -338,9 +379,12 @@ class TestCampaignResilience:
                               reference.injected_errors)
 
     def test_clean_pool_run_reports_health(self, cg_tiny, rng):
+        """A pool campaign runs under ``RetryPolicy()`` unless told
+        otherwise, so it always reports health."""
         flat = uniform_sample(SampleSpace.of_program(cg_tiny.program),
                               200, rng)
-        result = run_campaign(cg_tiny, mode="sample", experiments=flat, n_workers=2, batch_budget=1 << 14, retry_policy=RetryPolicy()).sampled
+        result = run_campaign(cg_tiny, mode="sample", experiments=flat,
+                              n_workers=2, batch_budget=1 << 14).sampled
         assert result.health is not None
         assert result.health.clean
         assert result.health.attempts > 0
