@@ -37,8 +37,8 @@ Two fault-tolerance hooks thread through every mode:
   campaign results.  The serial plane, the reference, recovers nothing
   and reports no health.
 * ``checkpoint`` — a :class:`~repro.core.checkpoint.CampaignCheckpoint`
-  persists completed phase-A chunks, merged phase-B aggregator partials
-  and per-round adaptive state as they complete, so an interrupted
+  appends one record per completed phase-A chunk, phase-B aggregator
+  partial and adaptive round as they complete, so an interrupted
   campaign resumes bit-identically instead of restarting.  Partial-result
   merges are commutative (outcomes concatenate by chunk index, Algorithm 1
   partials merge by per-site max / sum), which is also why drivers consume
@@ -663,11 +663,14 @@ def _run_adaptive(workload: Workload, cfg: CampaignConfig,
     (filter caps can only tighten as SDC evidence accumulates, so the final
     boundary must see all evidence at once).
 
-    With a ``checkpoint``, the loop persists its whole state after every
-    round — accumulated sample, guide aggregate, sampler counters and the
-    generator state — so a resumed call continues with exactly the rounds
-    the uninterrupted run would have drawn (the rng's state is overwritten
-    by the stored one).  The final inference also checkpoints per chunk.
+    With a ``checkpoint``, every round appends one record: its new samples,
+    its history entry and the generator state after its draw.  A resumed
+    call rebuilds the sample and the sampler mask from the recorded rounds,
+    restores the generator (the rng's state is overwritten by the stored
+    one) and, if another round will run, rebuilds the guide by replaying
+    the recorded masked samples — exact, since the guide merges by max and
+    sum — so it continues with exactly the rounds the uninterrupted run
+    would have drawn.  The final inference also checkpoints per chunk.
     """
     rng = cfg.resolve_rng()
     checkpoint = cfg.checkpoint
@@ -682,26 +685,35 @@ def _run_adaptive(workload: Workload, cfg: CampaignConfig,
     total: SampledResult | None = None
     history: list[dict] = []
 
-    if checkpoint is not None:
-        restored = checkpoint.load_adaptive_round()
-        if restored is not None:
-            arrays, state = restored
-            total = SampledResult(
-                space=space,
-                flat=arrays["flat"],
-                outcomes=arrays["outcomes"],
-                injected_errors=arrays["injected_errors"],
-            )
-            guide.delta_e[:] = arrays["guide_delta_e"]
-            guide.info[:] = arrays["guide_info"]
-            guide.n_experiments = int(state["guide_n_experiments"])
-            sampler.sampled[:] = arrays["sampled_mask"]
-            sampler.rounds_run = int(state["rounds_run"])
-            fraction = state["last_round_masked_fraction"]
-            sampler._last_round_masked_fraction = (
-                None if fraction is None else float(fraction))
-            rng.bit_generator.state = state["rng_state"]
-            history = list(state["history"])
+    def absorb(round_res: SampledResult) -> None:
+        """Replay a round's masked subset into the unfiltered guide."""
+        masked_flat = round_res.flat[round_res.masked_mask]
+        for chunk in _chunk_flats(workload, masked_flat, cfg.batch_budget):
+            ci, cb = space.instructions_of(chunk)
+            guide_replayer.replay(ci, cb, sink=guide)
+
+    rounds = (checkpoint.load_adaptive_round() if checkpoint is not None
+              else [])
+    if rounds:
+        restored = [SampledResult(space=space, flat=arrays["flat"],
+                                  outcomes=arrays["outcomes"],
+                                  injected_errors=arrays["injected_errors"])
+                    for _, arrays in rounds]
+        total = SampledResult(
+            space=space,
+            flat=np.concatenate([r.flat for r in restored]),
+            outcomes=np.concatenate([r.outcomes for r in restored]),
+            injected_errors=np.concatenate(
+                [r.injected_errors for r in restored]))
+        sampler.sampled[total.flat] = True
+        sampler.rounds_run = len(rounds)
+        last = rounds[-1][0]
+        sampler._last_round_masked_fraction = last["last_masked_fraction"]
+        rng.bit_generator.state = last["rng_state"]
+        history = [state["history"] for state, _ in rounds]
+        if not sampler.should_stop():
+            for round_res in restored:
+                absorb(round_res)
 
     while not sampler.should_stop():
         with span("campaign.adaptive.round", round=sampler.rounds_run + 1):
@@ -721,11 +733,7 @@ def _run_adaptive(workload: Workload, cfg: CampaignConfig,
 
             # Incremental guide update: replay this round's masked subset
             # once, streaming into the (unfiltered) running aggregate.
-            masked_flat = round_res.flat[round_res.masked_mask]
-            for chunk in _chunk_flats(workload, masked_flat,
-                                      cfg.batch_budget):
-                ci, cb = space.instructions_of(chunk)
-                guide_replayer.replay(ci, cb, sink=guide)
+            absorb(round_res)
             history.append({
                 "round": sampler.rounds_run,
                 "n_samples": int(chosen.size),
@@ -735,23 +743,14 @@ def _run_adaptive(workload: Workload, cfg: CampaignConfig,
             })
             if checkpoint is not None:
                 checkpoint.save_adaptive_round(
-                    arrays={
-                        "flat": total.flat,
-                        "outcomes": total.outcomes,
-                        "injected_errors": total.injected_errors,
-                        "guide_delta_e": guide.delta_e,
-                        "guide_info": guide.info,
-                        "sampled_mask": sampler.sampled,
-                    },
-                    state={
-                        "rounds_run": sampler.rounds_run,
-                        "last_round_masked_fraction":
-                            sampler._last_round_masked_fraction,
-                        "guide_n_experiments": guide.n_experiments,
-                        "history": history,
-                        "rng_state": rng.bit_generator.state,
-                    },
-                )
+                    {"round": sampler.rounds_run,
+                     "history": history[-1],
+                     "last_masked_fraction":
+                         sampler._last_round_masked_fraction,
+                     "rng_state": rng.bit_generator.state},
+                    flat=round_res.flat,
+                    outcomes=round_res.outcomes,
+                    injected_errors=round_res.injected_errors)
 
     if total is None:
         raise RuntimeError("adaptive campaign selected no experiments")

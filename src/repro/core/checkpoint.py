@@ -10,27 +10,33 @@ its partial results compose exactly:
   max (``delta_e``) and sum (``info``) — commutative and associative, so a
   partial checkpoint extended by the missing chunks is bit-identical to an
   uninterrupted run;
-* **adaptive campaigns** checkpoint per round: the accumulated sample, the
-  unfiltered guide aggregate, the sampler's state and the generator state,
-  so a resumed loop draws exactly the rounds the uninterrupted loop would
-  have drawn.
+* **adaptive campaigns** checkpoint per round: the round's new samples and
+  the generator state after its draw, so a resumed loop rebuilds the
+  sampler and guide from the samples and draws exactly the rounds the
+  uninterrupted loop would have drawn.
 
-:class:`CampaignCheckpoint` persists these through the atomic ``.npz``
-writers of :mod:`repro.io.store` into one directory per campaign.  Every
-artifact is *content-keyed*: the directory is pinned to a workload (its
-``(kernel, params)`` spec + tolerance + norm) and each phase's files embed
-a hash of the experiment set and chunk layout, so a stale or foreign file
-can never be resumed into the wrong campaign — it is simply ignored, or,
-for a workload mismatch, rejected loudly.
+:class:`CampaignCheckpoint` persists these as append-only record logs
+(:mod:`repro.io.recordlog`) in one directory per campaign: each completed
+chunk or round appends one uncompressed record, and nothing written is
+ever rewritten.  Every artifact is *content-keyed*: the directory is
+pinned to a workload (its ``(kernel, params)`` spec + tolerance + norm)
+and each phase's log name embeds a hash of the experiment set and chunk
+layout, so a stale or foreign log can never be resumed into the wrong
+campaign — it is simply ignored, or, for a workload mismatch, rejected
+loudly.  Records are keyed by chunk index or round number and the first
+copy of a key wins, so a duplicate appended by a zombie owner of a
+taken-over job is never counted twice.
 
-Checkpoint format (version 1), inside the checkpoint directory:
+Checkpoint format (version 2), inside the checkpoint directory:
 
 * ``checkpoint.json`` — format version + workload provenance/key;
-* ``a-<tag>-chunk-<i>.npz`` — one completed phase-A chunk (its flat
-  indices, outcomes, injected errors);
-* ``b-<tag>.npz`` — the merged phase-B partial (``delta_e``, ``info``,
-  per-chunk done mask, experiments-done count);
-* ``adaptive.npz`` — the per-round adaptive state described above.
+* ``a-<tag>.log`` — one record per completed phase-A chunk: its index,
+  outcomes and injected errors;
+* ``b-<tag>.log`` — one record per absorbed phase-B chunk: its index,
+  experiment count and ``delta_e``/``info`` partial;
+* ``adaptive.log`` — one record per adaptive round: its number, new
+  samples (flat indices, outcomes, injected errors), history entry,
+  masked fraction and the generator state after its draw.
 """
 
 from __future__ import annotations
@@ -42,12 +48,13 @@ from pathlib import Path
 
 import numpy as np
 
+from ..io.recordlog import RecordLog
 from ..kernels.workload import Workload, workload_key
 from ..obs import metrics as _metrics
 
 __all__ = ["CampaignCheckpoint", "CheckpointMismatchError"]
 
-_FORMAT_VERSION = 1
+_FORMAT_VERSION = 2
 
 _SPEC_HINT = (
     "checkpointed campaigns need a workload rebuilt from its "
@@ -76,6 +83,38 @@ def _chunks_tag(chunks: list[np.ndarray], *extra: bytes) -> str:
     return digest.hexdigest()[:16]
 
 
+def _append(log: RecordLog, counter: str, meta: dict, **arrays) -> None:
+    """Append one record to ``log``, metering it under ``counter``."""
+    t0 = time.perf_counter()
+    size = log.append(meta, **arrays)
+    if _metrics.METRICS.enabled:
+        _metrics.inc(counter)
+        _metrics.inc("checkpoint.write_bytes", size)
+        _metrics.observe("checkpoint.write_seconds",
+                         time.perf_counter() - t0)
+
+
+def _first_per_key(log: RecordLog, key: str, fits=None):
+    """``(index, record)`` of the first record of each index in ``log``.
+
+    The index is the record's integer ``meta[key]``.  With ``fits``, only
+    records for which ``fits(index, arrays)`` holds count; the rest are
+    skipped as if they were not there.
+    """
+    seen: set[int] = set()
+    for record in log.read():
+        index = record.meta.get(key)
+        if isinstance(index, int) and index not in seen \
+                and (fits is None or fits(index, record.arrays)):
+            seen.add(index)
+            yield index, record
+
+
+def _shaped(arrays: dict, names: tuple[str, ...], shape: tuple) -> bool:
+    return all(name in arrays and arrays[name].shape == shape
+               for name in names)
+
+
 class CampaignCheckpoint:
     """Durable partial state of one workload's campaigns.
 
@@ -101,6 +140,7 @@ class CampaignCheckpoint:
         self.workload_key = workload_key(workload.spec, workload.tolerance,
                                          workload.norm)
         self._meta_path = self.directory / "checkpoint.json"
+        self._adaptive = RecordLog(self.directory / "adaptive.log")
         if self._meta_path.exists():
             meta = json.loads(self._meta_path.read_text())
             version = meta.get("format_version")
@@ -123,7 +163,7 @@ class CampaignCheckpoint:
                     f"campaign state; pass resume=True (--resume) to "
                     f"continue it, or choose a fresh directory")
         else:
-            from ..io.store import atomic_write_json  # io imports core
+            from ..io.store import atomic_write_json  # io.store imports core
 
             self.directory.mkdir(parents=True, exist_ok=True)
             name, params = workload.spec
@@ -161,148 +201,99 @@ class CampaignCheckpoint:
 
     # ---------------------------------------------------------- adaptive
 
-    @property
-    def _adaptive_path(self) -> Path:
-        return self.directory / "adaptive.npz"
+    def save_adaptive_round(self, state: dict, **arrays: np.ndarray) -> None:
+        """Append one completed adaptive round.
 
-    def save_adaptive_round(self, arrays: dict[str, np.ndarray],
-                            state: dict) -> None:
-        """Persist the adaptive loop's state after a completed round.
-
-        ``arrays`` holds the numpy state (accumulated sample, guide
-        partials, sampler mask); ``state`` is the JSON-serialisable rest
-        (round counters, RNG state, history).
+        ``state`` is the round's JSON-serialisable part and carries its
+        number under ``"round"``; ``arrays`` are its new samples.
         """
-        from ..io.store import atomic_savez
+        _append(self._adaptive, "checkpoint.rounds_written", state, **arrays)
 
-        atomic_savez(self._adaptive_path,
-                     kind="adaptive-state",
-                     state_json=json.dumps(state),
-                     **arrays)
+    def load_adaptive_round(self) -> list[tuple[dict, dict[str, np.ndarray]]]:
+        """Every completed adaptive round as ``(state, arrays)``, in order.
 
-    def load_adaptive_round(self) -> tuple[dict[str, np.ndarray], dict] | None:
-        """Load the last completed adaptive round, or ``None``."""
-        if not self._adaptive_path.exists():
-            return None
-        with np.load(self._adaptive_path, allow_pickle=False) as npz:
-            if str(npz["kind"]) != "adaptive-state":
-                raise ValueError(
-                    f"{self._adaptive_path} does not hold adaptive state")
-            state = json.loads(str(npz["state_json"]))
-            arrays = {key: npz[key] for key in npz.files
-                      if key not in ("kind", "state_json")}
-        return arrays, state
+        Round ``k`` is the first record numbered ``k``; later copies are
+        duplicates and skipped, and the rounds end at the first gap.
+        """
+        rounds = []
+        for index, record in _first_per_key(self._adaptive, "round"):
+            if index != len(rounds) + 1:
+                break
+            rounds.append((record.meta, record.arrays))
+        return rounds
 
 
 class PhaseACheckpoint:
     """Per-chunk persistence of phase-A (outcome) results.
 
-    Chunks are final as soon as they complete, so each is written to its
-    own atomically-replaced file; a crash loses at most the chunk in
-    flight.
+    Chunks are final as soon as they complete, so each appends one record
+    to the phase's log; a crash loses at most the chunk in flight.
     """
 
     def __init__(self, directory: Path, chunks: list[np.ndarray]):
-        self.directory = directory
         self.chunks = chunks
         self.tag = _chunks_tag(chunks)
-
-    def _chunk_path(self, index: int) -> Path:
-        return self.directory / f"a-{self.tag}-chunk-{index:06d}.npz"
+        self.log = RecordLog(directory / f"a-{self.tag}.log")
 
     def completed(self) -> dict[int, tuple[np.ndarray, np.ndarray]]:
         """Load all completed chunks: ``{chunk_index: (outcomes, injected)}``.
 
-        Files that fail validation (stale layout, truncated content) are
-        ignored — the chunk simply re-runs.
+        Records that fail validation (wrong length, an index outside the
+        layout, a copy of an earlier record) are ignored — a chunk without
+        a valid record simply re-runs.
         """
-        done: dict[int, tuple[np.ndarray, np.ndarray]] = {}
-        for index in range(len(self.chunks)):
-            path = self._chunk_path(index)
-            if not path.exists():
-                continue
-            try:
-                with np.load(path, allow_pickle=False) as npz:
-                    flat = npz["flat"]
-                    outcomes = npz["outcomes"]
-                    injected = npz["injected_errors"]
-            except (OSError, ValueError, KeyError):
-                continue
-            if not np.array_equal(flat, self.chunks[index]):
-                continue
-            if len(outcomes) != len(flat) or len(injected) != len(flat):
-                continue
-            done[index] = (outcomes, injected)
-        return done
+        def fits(index, arrays):
+            return 0 <= index < len(self.chunks) and _shaped(
+                arrays, ("outcomes", "injected_errors"),
+                (len(self.chunks[index]),))
+
+        return {index: (record.arrays["outcomes"],
+                        record.arrays["injected_errors"])
+                for index, record in _first_per_key(self.log, "chunk", fits)}
 
     def record(self, index: int, outcomes: np.ndarray,
                injected: np.ndarray) -> None:
         """Persist one completed chunk."""
-        from ..io.store import atomic_savez
-
-        path = self._chunk_path(index)
-        t0 = time.perf_counter()
-        atomic_savez(path,
-                     kind="phase-a-chunk",
-                     flat=np.asarray(self.chunks[index], dtype=np.int64),
-                     outcomes=outcomes,
-                     injected_errors=injected)
-        if _metrics.METRICS.enabled:
-            _metrics.inc("checkpoint.chunks_written")
-            _metrics.inc("checkpoint.write_bytes", path.stat().st_size)
-            _metrics.observe("checkpoint.write_seconds",
-                             time.perf_counter() - t0)
+        _append(self.log, "checkpoint.chunks_written", {"chunk": int(index)},
+                outcomes=outcomes, injected_errors=injected)
 
 
 class PhaseBCheckpoint:
-    """Merged-partial persistence of phase-B (Algorithm 1) aggregation.
+    """Per-chunk persistence of phase-B (Algorithm 1) aggregation.
 
     ``delta_e`` merges by per-instruction max and ``info`` by sum, so the
-    running partial plus a done-mask over chunks reconstructs the exact
-    aggregation state; the single state file is rewritten atomically after
-    every absorbed chunk.
+    chunks' partials merged once each reconstruct the exact aggregation
+    state; each absorbed chunk appends its own partial to the phase's log.
     """
 
     def __init__(self, directory: Path, tag: str, n_chunks: int,
                  n_instructions: int):
-        self.path = directory / f"b-{tag}.npz"
+        self.log = RecordLog(directory / f"b-{tag}.log")
         self.delta_e = np.zeros(n_instructions, dtype=np.float64)
         self.info = np.zeros(n_instructions, dtype=np.int64)
         self.done = np.zeros(n_chunks, dtype=bool)
         self.n_done = 0
-        if self.path.exists():
-            try:
-                with np.load(self.path, allow_pickle=False) as npz:
-                    delta_e = npz["delta_e"]
-                    info = npz["info"]
-                    done = npz["done"]
-                    n_done = int(npz["n_done"])
-            except (OSError, ValueError, KeyError):
-                return  # corrupt partial: start this phase afresh
-            if delta_e.shape == self.delta_e.shape and done.shape == self.done.shape:
-                self.delta_e = delta_e.astype(np.float64, copy=True)
-                self.info = info.astype(np.int64, copy=True)
-                self.done = done.astype(bool, copy=True)
-                self.n_done = n_done
 
-    def record(self, index: int, delta_e: np.ndarray, info: np.ndarray,
+        def fits(index, arrays):
+            return 0 <= index < n_chunks and _shaped(
+                arrays, ("delta_e", "info"), (n_instructions,))
+
+        for index, record in _first_per_key(self.log, "chunk", fits):
+            self._merge(index, record.arrays["delta_e"],
+                        record.arrays["info"], record.meta.get("n", 0))
+
+    def _merge(self, index: int, delta_e: np.ndarray, info: np.ndarray,
                n_experiments: int) -> None:
-        """Merge one chunk's aggregator partial and persist the state."""
-        from ..io.store import atomic_savez
-
         np.maximum(self.delta_e, delta_e, out=self.delta_e)
         self.info += info
         self.done[index] = True
         self.n_done += int(n_experiments)
-        t0 = time.perf_counter()
-        atomic_savez(self.path,
-                     kind="phase-b-partial",
-                     delta_e=self.delta_e,
-                     info=self.info,
-                     done=self.done,
-                     n_done=np.int64(self.n_done))
-        if _metrics.METRICS.enabled:
-            _metrics.inc("checkpoint.partials_written")
-            _metrics.inc("checkpoint.write_bytes", self.path.stat().st_size)
-            _metrics.observe("checkpoint.write_seconds",
-                             time.perf_counter() - t0)
+
+    def record(self, index: int, delta_e: np.ndarray, info: np.ndarray,
+               n_experiments: int) -> None:
+        """Merge one chunk's aggregator partial and persist it."""
+        self._merge(index, delta_e, info, n_experiments)
+        _append(self.log, "checkpoint.partials_written",
+                {"chunk": int(index), "n": int(n_experiments)},
+                delta_e=np.asarray(delta_e, dtype=np.float64),
+                info=np.asarray(info, dtype=np.int64))

@@ -565,12 +565,13 @@ class DistExecutor(CampaignExecutor):
                                "the chunk was leased"))
                 continue
             kind = payload.get("type")
-            if payload.get("epoch") != self._epoch:
-                continue  # stale frame from an abandoned phase
             if kind == "node_error":
+                # Carries no epoch: the node could not take the welcome.
                 self._plane._kill_node(
                     node_id, payload.get("error", "node_error"))
                 continue
+            if payload.get("epoch") != self._epoch:
+                continue  # stale frame from an abandoned phase
             lease_id = payload.get("lease_id", "")
             self._release([lease_id])
             if kind == "result":

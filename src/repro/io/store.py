@@ -103,12 +103,15 @@ def _open_artifact(path: str | Path, kind: str):
             f"cannot decode {kind} artifact {path}: {exc}") from exc
 
 
-def atomic_savez(path: str | Path, **arrays) -> None:
-    """Write a compressed ``.npz`` atomically (tmp file + rename).
+def atomic_savez(path: str | Path, *, compress: bool = True,
+                 **arrays) -> None:
+    """Write an ``.npz`` atomically (tmp file + rename).
 
-    Checkpoints are written while a campaign is in flight; a crash or
+    Artifacts are published while readers may be loading them; a crash or
     Ctrl-C mid-write must never leave a truncated archive where a valid
-    one stood (or appear as a valid chunk to a later resume).
+    one stood.  Published artifacts are zlib-compressed once, here;
+    ``compress=False`` suits state rewritten often and read rarely, such
+    as the optimize search's per-generation checkpoint.
     """
     path = Path(path)
     tmp = path.with_name(path.name + ".tmp")
@@ -117,7 +120,7 @@ def atomic_savez(path: str | Path, **arrays) -> None:
         t0 = time.perf_counter()
     try:
         with open(tmp, "wb") as fh:  # file handle: savez must not append .npz
-            np.savez_compressed(fh, **arrays)
+            (np.savez_compressed if compress else np.savez)(fh, **arrays)
         if metered:
             _metrics.inc("store.write_bytes", tmp.stat().st_size)
         os.replace(tmp, path)

@@ -249,7 +249,9 @@ class SearchCheckpoint:
     Pareto front, serialized RNG state and candidate count, content-keyed
     so a resumed job refuses state from a different workload or search
     config.  Resume is bit-identical: the RNG stream continues exactly
-    where the killed run left it.
+    where the killed run left it.  The npz is stored uncompressed: it is
+    rewritten whole every generation and read only on resume, so zlib
+    would cost more time than the bytes it saves.
     """
 
     def __init__(self, path: str | Path, content_key: str = ""):
@@ -262,6 +264,7 @@ class SearchCheckpoint:
         self.path.parent.mkdir(parents=True, exist_ok=True)
         atomic_savez(
             self.path,
+            compress=False,
             kind=np.asarray(_CHECKPOINT_KIND),
             format_version=np.asarray(_CHECKPOINT_VERSION),
             schema_version=np.asarray(_CHECKPOINT_VERSION),

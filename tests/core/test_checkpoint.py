@@ -21,7 +21,10 @@ from repro.core import (
     run_campaign,
     uniform_sample,
 )
+from repro.core import campaign as campaign_mod
+from repro.core.campaign import _chunk_flats
 from repro.core.checkpoint import _FORMAT_VERSION
+from repro.io.recordlog import read_records
 from repro.kernels import build
 
 # Small chunks so campaigns span many checkpointable units.
@@ -42,6 +45,26 @@ class InterruptAfter:
 
     def finish(self):
         pass
+
+
+class InterruptInPhase:
+    """Progress hook that raises KeyboardInterrupt after ``updates``
+    chunk completions of phase ``phase`` (counted from 0 by ``finish``)."""
+
+    def __init__(self, phase: int, updates: int):
+        self.phase = phase
+        self.updates = updates
+        self.finished = 0
+        self.seen = 0
+
+    def update(self, done, total):
+        if self.finished == self.phase:
+            self.seen += 1
+            if self.seen > self.updates:
+                raise KeyboardInterrupt
+
+    def finish(self):
+        self.finished += 1
 
 
 @pytest.fixture
@@ -121,9 +144,9 @@ class TestPhaseAResume:
                                                   sample_flat, tmp_path):
         ck = CampaignCheckpoint(tmp_path, cg_tiny)
         run_campaign(cg_tiny, mode="sample", experiments=sample_flat, batch_budget=BUDGET, checkpoint=ck).sampled
-        chunk_files = sorted(tmp_path.glob("a-*-chunk-*.npz"))
-        assert len(chunk_files) > 2
-        chunk_files[0].write_bytes(b"not an npz file")
+        (chunk_log,) = tmp_path.glob("a-*.log")
+        assert len(read_records(chunk_log)) > 2
+        chunk_log.write_bytes(b"not a record log")
         resumed = run_campaign(cg_tiny, mode="sample", experiments=sample_flat, batch_budget=BUDGET, checkpoint=CampaignCheckpoint(tmp_path, cg_tiny, resume=True)).sampled
         reference = run_campaign(cg_tiny, mode="sample", experiments=sample_flat, batch_budget=BUDGET).sampled
         assert np.array_equal(resumed.outcomes, reference.outcomes)
@@ -217,6 +240,55 @@ class TestAdaptiveResume:
                               reference.boundary.thresholds)
         assert resumed.round_history == reference.round_history
 
+    def test_interrupted_inside_a_round_resumes_bit_identical(
+            self, cg_tiny, tmp_path):
+        """Ctrl-C in the middle of round 3: rounds 1-2 are on disk, the
+        resumed run rebuilds the sampler and the guide from them and
+        redraws round 3 exactly."""
+        config = ProgressiveConfig(round_fraction=0.01, max_rounds=6)
+        reference = run_campaign(cg_tiny, mode="adaptive",
+                                 rng=np.random.default_rng(42),
+                                 progressive=config, batch_budget=BUDGET)
+        ck = CampaignCheckpoint(tmp_path, cg_tiny)
+        with pytest.raises(KeyboardInterrupt):
+            run_campaign(cg_tiny, mode="adaptive",
+                         rng=np.random.default_rng(42), progressive=config,
+                         batch_budget=BUDGET, checkpoint=ck,
+                         progress=InterruptInPhase(phase=2, updates=10))
+        assert len(read_records(tmp_path / "adaptive.log")) == 2
+
+        resumed = run_campaign(
+            cg_tiny, mode="adaptive", rng=np.random.default_rng(42),
+            progressive=config, batch_budget=BUDGET,
+            checkpoint=CampaignCheckpoint(tmp_path, cg_tiny, resume=True))
+        assert resumed.rounds == reference.rounds
+        assert resumed.round_history == reference.round_history
+        for key in ("flat", "outcomes", "injected_errors"):
+            assert np.array_equal(getattr(resumed.sampled, key),
+                                  getattr(reference.sampled, key)), key
+        for key in ("thresholds", "info", "exact"):
+            assert np.array_equal(getattr(resumed.boundary, key),
+                                  getattr(reference.boundary, key)), key
+
+    def test_round_records_hold_only_new_samples(self, cg_tiny, tmp_path):
+        """A round appends its own samples (17 B each) and a constant,
+        never state that grows with the campaign or the program."""
+        config = ProgressiveConfig(round_fraction=0.01, max_rounds=6)
+        result = run_campaign(cg_tiny, mode="adaptive",
+                              rng=np.random.default_rng(42),
+                              progressive=config,
+                              checkpoint=CampaignCheckpoint(tmp_path,
+                                                            cg_tiny))
+        records = read_records(tmp_path / "adaptive.log")
+        assert len(records) == result.rounds
+        start = 0
+        for record in records:
+            n = len(record.arrays["flat"])
+            assert record.end - start <= 17 * n + 4096
+            start = record.end
+        assert sum(len(r.arrays["flat"]) for r in records) \
+            == result.sampled.n_samples
+
     def test_finished_campaign_resumes_without_rerunning_rounds(
             self, cg_tiny, tmp_path):
         config = ProgressiveConfig(round_fraction=0.01, max_rounds=3)
@@ -227,3 +299,121 @@ class TestAdaptiveResume:
         assert np.array_equal(again.sampled.flat, first.sampled.flat)
         assert np.array_equal(again.boundary.thresholds,
                               first.boundary.thresholds)
+
+
+def _sample(workload, flat, directory, **kwargs):
+    """A checkpointed sample campaign resumed from ``directory``."""
+    return run_campaign(workload, mode="sample", experiments=flat,
+                        batch_budget=BUDGET,
+                        checkpoint=CampaignCheckpoint(directory, workload,
+                                                      resume=True),
+                        **kwargs).sampled
+
+
+def _reran_chunks(monkeypatch) -> list[np.ndarray]:
+    """Record every phase-A chunk that runs from here on."""
+    ran = []
+    task = campaign_mod._task_outcomes
+
+    def recording(chunk):
+        ran.append(np.array(chunk))
+        return task(chunk)
+
+    monkeypatch.setattr(campaign_mod, "_task_outcomes", recording)
+    return ran
+
+
+def _assert_same_sample(a, b):
+    for key in ("flat", "outcomes", "injected_errors"):
+        assert np.array_equal(getattr(a, key), getattr(b, key)), key
+
+
+class TestLogFailureModes:
+    """Damage a finished campaign's logs the way a crash, a bad disk or
+    a zombie writer would; resume must re-run exactly the lost chunks and
+    stay bit-identical to an uninterrupted run."""
+
+    @pytest.fixture
+    def finished(self, cg_tiny, sample_flat, tmp_path):
+        run_campaign(cg_tiny, mode="sample", experiments=sample_flat,
+                     batch_budget=BUDGET,
+                     checkpoint=CampaignCheckpoint(tmp_path, cg_tiny))
+        (log,) = tmp_path.glob("a-*.log")
+        return log, read_records(log)
+
+    @pytest.fixture
+    def reference(self, cg_tiny, sample_flat):
+        return run_campaign(cg_tiny, mode="sample", experiments=sample_flat,
+                            batch_budget=BUDGET).sampled
+
+    def test_torn_tail_reruns_only_that_chunk(
+            self, cg_tiny, sample_flat, tmp_path, finished, reference,
+            monkeypatch):
+        log, records = finished
+        # A writer killed mid-append leaves half of the last record.
+        with open(log, "r+b") as fh:
+            fh.truncate((records[-2].end + records[-1].end) // 2)
+        ran = _reran_chunks(monkeypatch)
+        _assert_same_sample(_sample(cg_tiny, sample_flat, tmp_path),
+                            reference)
+        chunks = _chunk_flats(cg_tiny, np.asarray(sample_flat), BUDGET)
+        assert len(ran) == 1
+        assert np.array_equal(ran[0], chunks[records[-1].meta["chunk"]])
+        # The torn half was cut off before the re-run chunk was appended.
+        healed = read_records(log)
+        assert len(healed) == len(records)
+        assert healed[-1].end == log.stat().st_size
+
+    def test_corrupt_middle_record_reruns_it_and_every_later_one(
+            self, cg_tiny, sample_flat, tmp_path, finished, reference,
+            monkeypatch):
+        log, records = finished
+        k = len(records) // 2
+        data = bytearray(log.read_bytes())
+        data[records[k].end - 1] ^= 0x40  # an injected error's top byte
+        log.write_bytes(bytes(data))
+        ran = _reran_chunks(monkeypatch)
+        _assert_same_sample(_sample(cg_tiny, sample_flat, tmp_path),
+                            reference)
+        chunks = _chunk_flats(cg_tiny, np.asarray(sample_flat), BUDGET)
+        lost = sorted(r.meta["chunk"] for r in records[k:])
+        assert len(ran) == len(lost)
+        for index, chunk in zip(lost, sorted(ran, key=lambda c: c[0])):
+            assert np.array_equal(chunk, chunks[index])
+        assert read_records(log)[-1].end == log.stat().st_size
+
+    def test_duplicate_records_count_once(self, cg_tiny, sample_flat,
+                                          tmp_path, finished, reference):
+        """A zombie owner of a taken-over job appends copies of records
+        the new owner already holds; none may count twice."""
+        sampled = reference
+        boundary = infer_boundary(cg_tiny, sampled, batch_budget=BUDGET)
+        infer_boundary(cg_tiny, sampled, batch_budget=BUDGET,
+                       checkpoint=CampaignCheckpoint(tmp_path, cg_tiny,
+                                                     resume=True))
+        a_log, a_records = finished
+        (b_log,) = tmp_path.glob("b-*.log")
+        for log, first in ((a_log, a_records[0]),
+                           (b_log, read_records(b_log)[0])):
+            with open(log, "ab") as fh:
+                fh.write(log.read_bytes()[:first.end])
+        _assert_same_sample(_sample(cg_tiny, sample_flat, tmp_path),
+                            reference)
+        resumed = infer_boundary(
+            cg_tiny, sampled, batch_budget=BUDGET,
+            checkpoint=CampaignCheckpoint(tmp_path, cg_tiny, resume=True))
+        for key in ("thresholds", "info", "exact"):
+            assert np.array_equal(getattr(resumed, key),
+                                  getattr(boundary, key)), key
+
+    def test_log_of_another_experiment_set_is_ignored(
+            self, cg_tiny, sample_flat, tmp_path, finished):
+        """Same size, same chunk lengths, other experiments: only the
+        tag in the log's name tells the two layouts apart."""
+        space = SampleSpace.of_program(cg_tiny.program)
+        other = uniform_sample(space, len(sample_flat),
+                               np.random.default_rng(99))
+        reference = run_campaign(cg_tiny, mode="sample", experiments=other,
+                                 batch_budget=BUDGET).sampled
+        _assert_same_sample(_sample(cg_tiny, other, tmp_path), reference)
+        assert len(list(tmp_path.glob("a-*.log"))) == 2

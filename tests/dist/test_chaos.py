@@ -24,6 +24,7 @@ import pytest
 from repro import core
 from repro.dist import DistConfig, DistPlane
 from repro.parallel.resilience import RetryPolicy
+from tests.helpers import LogSnapshot, whole_records
 
 SRC = str(Path(__file__).resolve().parents[2] / "src")
 
@@ -41,8 +42,8 @@ def _spawn_node(plane, node_id, workers=2):
 
 class _ChunkWatcher(threading.Thread):
     """SIGKILL ``victim`` once ``checkpoint`` holds >= ``arm_after``
-    completed chunk files and the victim holds a lease it has not
-    answered, snapshotting the chunk files' mtimes first.
+    whole phase-A records and the victim holds a lease it has not
+    answered, snapshotting the phase-A log first.
 
     A node answers a lease within milliseconds, so a kill at an arbitrary
     moment often lands after its last result has already left: the
@@ -65,7 +66,7 @@ class _ChunkWatcher(threading.Thread):
         self.node_id = node_id
         self.arm_after = arm_after
         self.timeout = timeout
-        self.survivors: dict[str, int] = {}
+        self.survivors: LogSnapshot | None = None
         self.killed = False
 
     def _holds_unanswered_lease(self) -> bool:
@@ -80,12 +81,10 @@ class _ChunkWatcher(threading.Thread):
     def run(self):
         deadline = time.monotonic() + self.timeout
         while time.monotonic() < deadline:
-            chunks = list(self.checkpoint.glob("a-*-chunk-*.npz"))
-            if len(chunks) >= self.arm_after \
+            if whole_records(self.checkpoint) >= self.arm_after \
                     and self._holds_unanswered_lease():
-                self.survivors = {
-                    p.name: p.stat().st_mtime_ns
-                    for p in self.checkpoint.glob("a-*-chunk-*.npz")}
+                (log,) = self.checkpoint.glob("a-*.log")
+                self.survivors = LogSnapshot(log)
                 self.victim.kill()  # SIGKILL: no goodbye frame
                 self.killed = True
                 return
@@ -142,12 +141,9 @@ class TestSigkillNode:
                                       golden.injected_errors)
 
         # Chunks completed before the kill were never recomputed: their
-        # checkpoint artifacts are byte-for-byte untouched.
-        assert watcher.survivors
-        for chunk_name, mtime_ns in watcher.survivors.items():
-            path = checkpoint_dir / chunk_name
-            assert path.stat().st_mtime_ns == mtime_ns, \
-                f"chunk {chunk_name} was rewritten after the node kill"
+        # records are byte-for-byte untouched and never appended again.
+        assert watcher.survivors.chunks
+        watcher.survivors.assert_adopted()
 
     def test_killed_node_rejoins_without_rerunning_completed_work(
             self, tmp_path, cg_tiny, cg_tiny_golden):
@@ -191,7 +187,4 @@ class TestSigkillNode:
         assert result.health.node_deaths >= 1
         np.testing.assert_array_equal(result.exhaustive.outcomes,
                                       cg_tiny_golden.outcomes)
-        for chunk_name, mtime_ns in watcher.survivors.items():
-            path = checkpoint_dir / chunk_name
-            assert path.stat().st_mtime_ns == mtime_ns, \
-                f"chunk {chunk_name} was rewritten after the node kill"
+        watcher.survivors.assert_adopted()

@@ -16,7 +16,8 @@ import pytest
 
 from repro import core
 from repro.dist import DistConfig, DistPlane, NodeAgent
-from repro.dist.protocol import recv_msg, send_msg
+from repro.dist.protocol import (PROTOCOL_VERSION, ProtocolError,
+                                 recv_msg, send_msg)
 from repro.parallel.resilience import NodeDeath, RetryPolicy
 
 
@@ -29,6 +30,49 @@ def _start_nodes(plane, n, n_workers=2, heartbeat=None):
         t.start()
     assert plane.wait_for_nodes(n, timeout=30.0)
     return agents, threads
+
+
+class _ErrorNode(threading.Thread):
+    """A node speaking the wire protocol over a raw socket that answers
+    every welcome with ``node_error``, then stays connected and keeps
+    sending heartbeats."""
+
+    def __init__(self, plane):
+        super().__init__(daemon=True)
+        self.sock = socket.create_connection((plane.host, plane.port),
+                                             timeout=10)
+        self.welcomed = False
+        self._lock = threading.Lock()
+        self._stop = threading.Event()
+
+    def _send(self, msg):
+        with self._lock:
+            send_msg(self.sock, msg)
+
+    def _beat(self):
+        while not self._stop.wait(0.1):
+            try:
+                self._send({"type": "heartbeat"})
+            except OSError:
+                return
+
+    def run(self):
+        self._send({"type": "hello", "node_id": "broken", "pid": 0,
+                    "n_workers": 2, "version": PROTOCOL_VERSION})
+        self.sock.settimeout(None)
+        threading.Thread(target=self._beat, daemon=True).start()
+        try:
+            while (msg := recv_msg(self.sock)) is not None:
+                if msg.get("type") == "welcome":
+                    self.welcomed = True
+                    self._send({"type": "node_error",
+                                "error": "no such kernel here"})
+        except (OSError, ProtocolError):
+            pass
+
+    def close(self):
+        self._stop.set()
+        self.sock.close()
 
 
 class TestDistConfig:
@@ -214,6 +258,34 @@ class TestFailureRecovery:
         assert result.health.node_deaths == 1
         assert result.health.lease_expiries == 0
         assert result.health.degraded_to_serial
+        np.testing.assert_array_equal(result.exhaustive.outcomes,
+                                      cg_tiny_golden.outcomes)
+        np.testing.assert_array_equal(result.exhaustive.injected_errors,
+                                      cg_tiny_golden.injected_errors)
+
+    def test_node_error_kills_a_node_that_stays_connected(
+            self, cg_tiny, cg_tiny_golden):
+        # A node that cannot take the welcome reports ``node_error`` (a
+        # frame without an epoch) and, unlike the bundled agent, keeps
+        # its connection and its heartbeat.  It must be dropped at once:
+        # a lease granted to it would otherwise wait out the TTL.
+        with DistPlane(DistConfig(lease_ttl_s=30.0)) as plane:
+            broken = _ErrorNode(plane)
+            broken.start()
+            assert plane.wait_for_nodes(1, timeout=30.0)
+            agent = NodeAgent(plane.host, plane.port, n_workers=2,
+                              node_id="healthy")
+            threading.Thread(target=agent.run, daemon=True).start()
+            assert plane.wait_for_nodes(2, timeout=30.0)
+            t0 = time.monotonic()
+            result = core.run_campaign(cg_tiny, core.CampaignConfig(
+                mode="exhaustive", dist=plane, batch_budget=1 << 18))
+            elapsed = time.monotonic() - t0
+            broken.close()
+        assert broken.welcomed
+        assert result.health.node_deaths == 1
+        assert result.health.lease_expiries == 0
+        assert elapsed < 10.0
         np.testing.assert_array_equal(result.exhaustive.outcomes,
                                       cg_tiny_golden.outcomes)
         np.testing.assert_array_equal(result.exhaustive.injected_errors,

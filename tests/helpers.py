@@ -9,6 +9,10 @@ Pool workers start by ``fork`` only in a process that runs one thread
 threads of earlier tests alive.  :func:`run_fresh` runs code in a new
 interpreter, where pools fork; :func:`extra_thread` keeps a second thread
 alive, so pools start from the forkserver.
+
+Kill-and-resume tests watch a campaign's checkpoint logs through
+:func:`whole_records` and prove completed work was adopted with
+:class:`LogSnapshot`.
 """
 
 from __future__ import annotations
@@ -24,6 +28,7 @@ import numpy as np
 
 from repro.engine.bitflip import flip_bits
 from repro.engine.program import Opcode, Program
+from repro.io.recordlog import read_records
 
 
 def scalar_injected_run(
@@ -198,3 +203,37 @@ def extra_thread():
     finally:
         stop.set()
         thread.join(timeout=10)
+
+
+def whole_records(directory: Path, pattern: str = "a-*.log") -> int:
+    """Whole records in the checkpoint logs of ``directory`` matching
+    ``pattern``: how much completed work a running campaign has banked."""
+    return sum(len(read_records(log)) for log in Path(directory).glob(pattern))
+
+
+class LogSnapshot:
+    """A checkpoint log's whole records at one moment.
+
+    A resumed campaign must adopt them, not redo them.
+    :meth:`assert_adopted` checks both halves of that: the log's bytes up
+    to the end of its last whole record are unchanged, and no chunk index
+    among those records was appended again.
+    """
+
+    def __init__(self, path: Path):
+        self.path = Path(path)
+        records = read_records(self.path)
+        self.chunks = {record.meta["chunk"] for record in records}
+        # The log only grows past a whole record, so a second read still
+        # holds the first read's records as its prefix.
+        self.prefix = (self.path.read_bytes()[:records[-1].end]
+                       if records else b"")
+
+    def assert_adopted(self) -> None:
+        assert self.path.read_bytes()[:len(self.prefix)] == self.prefix, \
+            f"completed records of {self.path.name} were rewritten"
+        again = sorted(record.meta["chunk"]
+                       for record in read_records(self.path)
+                       if record.end > len(self.prefix)
+                       and record.meta["chunk"] in self.chunks)
+        assert not again, f"completed chunks {again} were run again"

@@ -31,6 +31,8 @@ from repro.core.boundary import exhaustive_boundary
 from repro.io.store import load_boundary
 from repro.serve import ServiceClient
 
+from tests.helpers import LogSnapshot, whole_records
+
 from .conftest import CG_SAMPLE
 
 
@@ -85,7 +87,7 @@ class TestSigkillRecovery:
         root = tmp_path / "svc"
         proc, client = self._spawn(root)
         try:
-            # Small chunks -> many checkpoint files -> a kill lands
+            # Small chunks -> many checkpoint records -> a kill lands
             # mid-campaign with completed work on disk.
             job = client.submit("cg", {"n": 8, "iters": 8},
                                 mode="exhaustive",
@@ -94,7 +96,7 @@ class TestSigkillRecovery:
             checkpoint = root / "jobs" / job_id / "checkpoint"
 
             deadline = time.monotonic() + 120
-            while len(list(checkpoint.glob("a-*-chunk-*.npz"))) < 3:
+            while whole_records(checkpoint) < 3:
                 assert time.monotonic() < deadline, \
                     "no checkpoint chunks appeared before the deadline"
                 assert proc.poll() is None
@@ -103,13 +105,11 @@ class TestSigkillRecovery:
             proc.kill()  # SIGKILL: no cleanup, no atexit, no flush
             proc.wait(timeout=30)
 
-        survivors = {
-            p.name: p.stat().st_mtime_ns
-            for p in checkpoint.glob("a-*-chunk-*.npz")
-        }
-        assert survivors
+        (log,) = checkpoint.glob("a-*.log")
+        survivors = LogSnapshot(log)
+        assert survivors.chunks
         total_chunks = -(-cg_tiny_golden.space.size // 64)
-        assert len(survivors) < total_chunks, \
+        assert len(survivors.chunks) < total_chunks, \
             "campaign finished before the kill; nothing was interrupted"
 
         proc, client = self._spawn(root)
@@ -119,11 +119,10 @@ class TestSigkillRecovery:
             events = list(client.events(job_id))
             assert any(e["event"] == "recovered" for e in events)
 
-            # Completed chunks were adopted, not re-run: the surviving
-            # checkpoint files are byte-for-byte untouched.
-            for name, mtime_ns in survivors.items():
-                assert (checkpoint / name).stat().st_mtime_ns == mtime_ns, \
-                    f"chunk {name} was rewritten on resume"
+            # Completed chunks were adopted, not re-run: the log's
+            # whole records are byte-for-byte untouched and none of
+            # their chunks was appended again.
+            survivors.assert_adopted()
 
             # And the result is still exact: the published boundary is
             # bit-identical to offline ground truth.
@@ -180,7 +179,7 @@ class TestReplicaSigkillTakeover:
                 assert time.monotonic() < deadline, \
                     "no claimed, checkpointed run appeared"
                 assert proc_a.poll() is None and proc_b.poll() is None
-                if len(list(checkpoint.glob("a-*-chunk-*.npz"))) >= 3:
+                if whole_records(checkpoint) >= 3:
                     try:
                         owner = json.loads(
                             claim_path.read_text())["replica"]
@@ -191,12 +190,10 @@ class TestReplicaSigkillTakeover:
             procs[owner].kill()  # SIGKILL: the claim file stays behind
             procs[owner].wait(timeout=30)
 
-            survivors = {
-                p.name: p.stat().st_mtime_ns
-                for p in checkpoint.glob("a-*-chunk-*.npz")
-            }
+            (log,) = checkpoint.glob("a-*.log")
+            survivors = LogSnapshot(log)
             total_chunks = -(-cg_tiny_golden.space.size // 64)
-            assert 0 < len(survivors) < total_chunks, \
+            assert 0 < len(survivors.chunks) < total_chunks, \
                 "campaign finished before the kill; nothing to adopt"
 
             # The surviving replica must declare the stale claim dead,
@@ -209,11 +206,9 @@ class TestReplicaSigkillTakeover:
             recovered = [e for e in events if e["event"] == "recovered"]
             assert recovered and recovered[-1]["replica"] == survivor
 
-            # Adopted, not re-run: the dead replica's completed chunks
-            # are byte-for-byte untouched.
-            for name, mtime_ns in survivors.items():
-                assert (checkpoint / name).stat().st_mtime_ns == mtime_ns, \
-                    f"chunk {name} was rewritten on takeover"
+            # Adopted, not re-run: the dead replica's completed records
+            # are byte-for-byte untouched and none was appended again.
+            survivors.assert_adopted()
 
             # And the takeover is invisible in the result: the published
             # boundary is bit-identical to offline ground truth.
