@@ -83,6 +83,14 @@ class CfgGoldenTrace:
         return np.concatenate(
             [blocks[b].region_ids for b in self.block_path])
 
+    @cached_property
+    def dyn_ops(self) -> np.ndarray:
+        """Opcode of every dynamic row (per-block opcodes along the path)."""
+        blocks = self.program.blocks
+        if self.n_steps == 0:
+            return np.zeros(0, dtype=np.uint8)
+        return np.concatenate([blocks[b].ops for b in self.block_path])
+
     @property
     def site_values(self) -> np.ndarray:
         """Golden values at fault sites, in dynamic order."""

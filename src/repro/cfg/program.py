@@ -130,8 +130,9 @@ class CfgProgram:
 
     Static structure (blocks, edges, back-edges) is available without
     executing; the *dynamic* facade used by campaign drivers — ``len()``,
-    ``site_indices``, ``region_ids``, ``sample_space_size`` — is defined by
-    the golden path and computed from the cached golden trace on first use.
+    ``site_indices``, ``region_ids``, ``ops``, ``sample_space_size`` — is
+    defined by the golden path and computed from the cached golden trace on
+    first use.
     """
 
     name: str
@@ -303,6 +304,11 @@ class CfgProgram:
     def region_ids(self) -> np.ndarray:
         """Region id of every dynamic row along the golden path."""
         return self.trace.dyn_region_ids
+
+    @property
+    def ops(self) -> np.ndarray:
+        """Opcode of every dynamic row along the golden path."""
+        return self.trace.dyn_ops
 
     def region_of(self, instr):
         return self.region_ids[instr]

@@ -35,7 +35,7 @@ import numpy as np
 
 from ..engine.batch import PropagationSink, ReplayBatch
 from ..engine.bitflip import flip_bits
-from ..engine.classify import OutputComparator, classify_batch
+from ..engine.classify import Outcome, OutputComparator, classify_batch
 from ..engine.plan import make_step, operand_rows, run_steps
 from ..engine.program import Opcode
 from ..obs import metrics as _metrics
@@ -136,14 +136,7 @@ class CfgLaneReplayer:
         sink: PropagationSink | None = None,
     ) -> CfgReplayBatch:
         """Replay one single-bit-flip experiment per lane (dynamic-row sites)."""
-        sites = np.asarray(sites, dtype=np.int64)
-        bits = np.asarray(bits, dtype=np.int64)
-        if sites.shape != bits.shape or sites.ndim != 1:
-            raise ValueError("sites and bits must be equal-length 1-D arrays")
-        self._check_sites(sites)
-        with np.errstate(invalid="ignore", over="ignore"):
-            corrupted = flip_bits(self._gold[sites], bits)
-        return self._replay_corrupted(sites, bits, corrupted, sink)
+        return self._replay_corrupted(*self._flip(sites, bits), sink)
 
     def replay_outcomes(
         self,
@@ -155,6 +148,31 @@ class CfgLaneReplayer:
         entry point the tape replayer runs in its workspace."""
         batch = self.replay(sites, bits)
         return classify_batch(batch, comparator), batch.injected_errors
+
+    def replay_round(
+        self,
+        sites: np.ndarray,
+        bits: np.ndarray,
+        comparator: OutputComparator,
+        sink: PropagationSink,
+    ) -> tuple[np.ndarray, np.ndarray]:
+        """An adaptive round's chunk: :meth:`replay_outcomes`, and the
+        MASKED lanes' deviations streamed into ``sink``, from one replay.
+
+        The replay tracks every lane; the sink then gets the MASKED
+        lanes' columns in the one full-height call that ``replay(sites[m],
+        bits[m], sink=sink)`` would make, bit for bit, since every column
+        of the tracked matrices is its own lane's.  With no MASKED lane it
+        sees nothing.
+        """
+        sites, bits, corrupted = self._flip(sites, bits)
+        batch, dev, valid = self._run(sites, bits, corrupted, track=True)
+        outcomes = classify_batch(batch, comparator)
+        masked = np.flatnonzero(outcomes == Outcome.MASKED)
+        if masked.size:
+            sink.consume(0, dev[:, masked], valid[:, masked], sites[masked],
+                         bits[masked])
+        return outcomes, batch.injected_errors
 
     def replay_values(
         self,
@@ -177,6 +195,17 @@ class CfgLaneReplayer:
             "sectioned (compositional) replay is straight-line-only; CFG "
             "workloads cannot use mode='compositional'")
 
+    def _flip(self, sites, bits) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """Validated ``(sites, bits, corrupted values)`` of a bit-flip batch."""
+        sites = np.asarray(sites, dtype=np.int64)
+        bits = np.asarray(bits, dtype=np.int64)
+        if sites.shape != bits.shape or sites.ndim != 1:
+            raise ValueError("sites and bits must be equal-length 1-D arrays")
+        self._check_sites(sites)
+        with np.errstate(invalid="ignore", over="ignore"):
+            corrupted = flip_bits(self._gold[sites], bits)
+        return sites, bits, corrupted
+
     def _check_sites(self, sites: np.ndarray) -> None:
         if sites.size == 0:
             raise ValueError("empty experiment batch")
@@ -194,6 +223,21 @@ class CfgLaneReplayer:
         corrupted: np.ndarray,
         sink: PropagationSink | None,
     ) -> CfgReplayBatch:
+        batch, dev, valid = self._run(sites, bits, corrupted,
+                                      track=sink is not None)
+        if sink is not None:
+            sink.consume(0, dev, valid, sites, bits)
+        return batch
+
+    def _run(
+        self,
+        sites: np.ndarray,
+        bits: np.ndarray,
+        corrupted: np.ndarray,
+        track: bool,
+    ) -> tuple[CfgReplayBatch, np.ndarray | None, np.ndarray | None]:
+        """The wave loop: the batch, plus with ``track`` its full-height
+        ``(n, lanes)`` deviation matrix and ``valid`` mask."""
         k = sites.size
         n = self._n
         tr = self.trace
@@ -228,7 +272,8 @@ class CfgLaneReplayer:
         steps_used = (prefix_rows + start_steps).astype(np.int64)
         out = np.full((len(self._out_regs), k), np.nan, dtype=np.float64)
 
-        if sink is not None:
+        dev = valid = None
+        if track:
             dev = np.zeros((n, k), dtype=np.float64)
             # The skipped prefix is tracked-and-zero by construction.
             valid = np.arange(n, dtype=np.int64)[:, None] < prefix_rows[None, :]
@@ -262,8 +307,8 @@ class CfgLaneReplayer:
 
                 aligned = step >= 0
                 g0 = int(tr.step_starts[step]) if aligned else -1
-                track = sink is not None and aligned and blk.n_rows > 0
-                if track:
+                track_rows = track and aligned and blk.n_rows > 0
+                if track_rows:
                     blkvals = np.empty((blk.n_rows, sel.size), dtype=dtype)
 
                 grp_pend = pending[sel]
@@ -276,14 +321,14 @@ class CfgLaneReplayer:
                                 grp_pend if has_inj else None,
                                 grp_rows if has_inj else None,
                                 corrupted, guard_div_at,
-                                blkvals if track else None)
+                                blkvals if track_rows else None)
                 regs[:, sel] = sub
                 if has_inj:
                     pending[sel] = False
                 if metered:
                     rows_executed += blk.n_rows * sel.size
 
-                if track:
+                if track_rows:
                     g1 = g0 + blk.n_rows
                     with np.errstate(invalid="ignore", over="ignore"):
                         d = np.abs(blkvals.astype(np.float64)
@@ -316,10 +361,9 @@ class CfgLaneReplayer:
                         astep[forked] = -1
                     astep[sel[~mism]] = step + 1
 
-        if sink is not None:
+        if track:
             valid &= (np.arange(n, dtype=np.int64)[:, None]
                       < guard_div_at[None, :])
-            sink.consume(0, dev, valid, sites, bits)
 
         if metered:
             _metrics.inc("replay.batches")
@@ -328,7 +372,7 @@ class CfgLaneReplayer:
             _metrics.observe("replay.batch_seconds",
                              time.perf_counter() - t_replay)
 
-        return CfgReplayBatch(
+        batch = CfgReplayBatch(
             sites=sites,
             bits=bits,
             injected_values=corrupted,
@@ -339,6 +383,7 @@ class CfgLaneReplayer:
             hung=hung,
             path_diverged=path_div,
         )
+        return batch, dev, valid
 
     # ------------------------------------------------------------ block body
 

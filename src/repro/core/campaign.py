@@ -96,7 +96,10 @@ __all__ = [
     "run_campaign",
 ]
 
-#: Default byte budget for one replay batch's value + deviation matrices.
+#: Default byte budget that sizes replay batches: lanes_for_budget charges
+#: each lane its value-matrix column plus 8 bytes per row.  Sink replays
+#: stream deviations in 256 KiB blocks, so the 8 bytes over-count; they
+#: stay so that chunk layouts, and with them checkpoint tags, do not move.
 DEFAULT_BATCH_BUDGET = 1 << 26
 
 #: Valid :attr:`CampaignConfig.mode` values.
@@ -193,21 +196,26 @@ def _campaign_executor(workload: Workload, n_workers: int | None,
         pool.shutdown()
 
 
+def _metered(histogram: str, t0: float, counts: dict[str, int]) -> None:
+    """Record one task's latency, counters and the process's peak RSS."""
+    _metrics.observe(histogram, time.perf_counter() - t0)
+    for name, value in counts.items():
+        _metrics.inc(name, value)
+    peak = rss_peak_kb()
+    if peak is not None:
+        _metrics.set_gauge("rss.peak_kb", peak)
+
+
 def _task_outcomes(flat_chunk: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Phase A task: outcomes + injected errors of one experiment chunk."""
     wl, rep = _worker_state()
-    metered = _metrics.METRICS.enabled
-    if metered:
-        t0 = time.perf_counter()
+    t0 = time.perf_counter()
     space = SampleSpace.of_program(wl.program)
     instrs, bits = space.instructions_of(flat_chunk)
     outcomes, injected = rep.replay_outcomes(instrs, bits, wl.comparator)
-    if metered:
-        _metrics.observe("phase_a.chunk_seconds", time.perf_counter() - t0)
-        _metrics.inc("experiments.completed", len(flat_chunk))
-        peak = rss_peak_kb()
-        if peak is not None:
-            _metrics.set_gauge("rss.peak_kb", peak)
+    if _metrics.METRICS.enabled:
+        _metered("phase_a.chunk_seconds", t0,
+                 {"experiments.completed": len(flat_chunk)})
     return outcomes, injected
 
 
@@ -217,21 +225,42 @@ def _task_aggregate(
     """Phase B task: stream one masked-experiment chunk into Algorithm 1."""
     flat_chunk, caps, rel_info_threshold = args
     wl, rep = _worker_state()
-    metered = _metrics.METRICS.enabled
-    if metered:
-        t0 = time.perf_counter()
+    t0 = time.perf_counter()
     space = SampleSpace.of_program(wl.program)
     agg = ThresholdAggregator(wl.trace, caps=caps,
                               rel_info_threshold=rel_info_threshold)
     instrs, bits = space.instructions_of(flat_chunk)
     rep.replay(instrs, bits, sink=agg)
-    if metered:
-        _metrics.observe("phase_b.chunk_seconds", time.perf_counter() - t0)
-        _metrics.inc("experiments.aggregated", len(flat_chunk))
-        peak = rss_peak_kb()
-        if peak is not None:
-            _metrics.set_gauge("rss.peak_kb", peak)
+    if _metrics.METRICS.enabled:
+        _metered("phase_b.chunk_seconds", t0,
+                 {"experiments.aggregated": len(flat_chunk)})
     return agg.delta_e, agg.info, len(flat_chunk)
+
+
+def _task_round(
+    args: tuple[np.ndarray, float],
+) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray, int]:
+    """Adaptive round task: phase A of one experiment chunk, and its
+    masked experiments streamed into an unfiltered Algorithm 1 partial,
+    from one replay per experiment (``replay_round``).
+
+    Returns ``(outcomes, injected_errors, delta_e, info, n_masked)``.
+    """
+    flat_chunk, rel_info_threshold = args
+    wl, rep = _worker_state()
+    t0 = time.perf_counter()
+    space = SampleSpace.of_program(wl.program)
+    guide = ThresholdAggregator(wl.trace,
+                                rel_info_threshold=rel_info_threshold)
+    instrs, bits = space.instructions_of(flat_chunk)
+    outcomes, injected = rep.replay_round(instrs, bits, wl.comparator,
+                                          guide)
+    n_masked = int(np.count_nonzero(outcomes == int(Outcome.MASKED)))
+    if _metrics.METRICS.enabled:
+        _metered("phase_a.chunk_seconds", t0,
+                 {"experiments.completed": len(flat_chunk),
+                  "experiments.aggregated": n_masked})
+    return outcomes, injected, guide.delta_e, guide.info, n_masked
 
 
 def _chunk_flats(workload: Workload, flat: np.ndarray,
@@ -347,7 +376,10 @@ class CampaignConfig:
         which also closes it.  The plane never affects results — every
         plane is bit-identical to serial.
     batch_budget:
-        Byte budget for one replay batch's value + deviation matrices.
+        Byte budget that sizes replay batches: each lane costs its
+        value-matrix column plus 8 bytes per row (deviations stream in
+        256 KiB blocks, so the 8 bytes over-count; see
+        :func:`~repro.engine.batch.lanes_for_budget`).
     progress:
         Object with ``update(done, total)`` / ``finish()``, or a bare
         callable ``fn(done, total, phase)`` (wrapped in
@@ -432,8 +464,9 @@ def _experiments_impl(
     batch_budget: int = DEFAULT_BATCH_BUDGET,
     progress=None,
     checkpoint: CampaignCheckpoint | None = None,
+    guide: ThresholdAggregator | None = None,
 ) -> SampledResult:
-    """Phase A: classify an arbitrary set of experiments (no propagation).
+    """Phase A: classify an arbitrary set of experiments.
 
     Results stream from ``pool`` in completion order (chunk merges are
     commutative and phase-A chunks re-sort by index afterwards), so
@@ -441,6 +474,12 @@ def _experiments_impl(
     ``checkpoint``, completed chunks persist as they finish and a resumed
     call re-runs only the missing ones; checkpoints also pin the chunk
     layout, so worker-aware chunking is disabled for checkpointed runs.
+
+    With a ``guide`` the call is a §3.4 round: its chunks run as
+    :func:`_task_round`, whose one replay per experiment also streams
+    the chunk's masked experiments into an unfiltered Algorithm 1
+    partial, merged into ``guide`` by max and sum.  Rounds checkpoint
+    whole, so a guided call takes no ``checkpoint``.
     """
     space = SampleSpace.of_program(workload.program)
     flat = np.asarray(flat, dtype=np.int64)
@@ -465,14 +504,21 @@ def _experiments_impl(
             if done:
                 progress.update(done, flat.size)
             if pending:
-                stream = pool.run_stream(_task_outcomes,
-                                         [chunks[i] for i in pending])
-                for j, res in stream:
+                if guide is None:
+                    stream = pool.run_stream(_task_outcomes,
+                                             [chunks[i] for i in pending])
+                else:
+                    stream = pool.run_stream(_task_round, [
+                        (chunks[i], guide.rel_info_threshold)
+                        for i in pending])
+                for j, (outcomes, injected, *partial) in stream:
                     index = pending[j]
-                    results[index] = res
+                    results[index] = outcomes, injected
+                    if partial:
+                        guide.merge_partial(*partial)
                     if phase is not None:
-                        phase.record(index, *res)
-                    done += len(res[0])
+                        phase.record(index, outcomes, injected)
+                    done += len(outcomes)
                     progress.update(done, flat.size)
         finally:
             progress.finish()
@@ -511,18 +557,12 @@ def infer_boundary(
     on an executor opened from ``n_workers`` / ``retry_policy`` for this
     call.  Aggregator partials merge by per-instruction max (``delta_e``)
     and sum (``info``) — commutative and associative — so results stream
-    in completion order and, with a ``checkpoint``, the merged partial
-    persists after every chunk; a resumed call replays only the chunks
-    the partial has not absorbed.
+    in completion order and, with a ``checkpoint``, each absorbed chunk
+    appends its own partial to the phase's ``b-<tag>.log``; a resumed call
+    merges those records and replays only the chunks they lack.
     """
-    space = sampled.space
     progress = as_progress(progress)
-
-    caps_instr = None
-    if use_filter:
-        caps_site = sampled.min_sdc_error_per_site()
-        caps_instr = np.full(len(workload.program), np.inf)
-        caps_instr[space.site_indices] = caps_site
+    caps_instr = _filter_caps(workload, sampled) if use_filter else None
 
     masked_flat = sampled.flat[sampled.masked_mask]
     delta_e = np.zeros(len(workload.program))
@@ -569,7 +609,23 @@ def infer_boundary(
                             health = getattr(run_on, "health", None)
             finally:
                 progress.finish()
+    return _site_boundary(sampled, delta_e, info, exact_rule, health)
 
+
+def _filter_caps(workload: Workload, sampled: SampledResult) -> np.ndarray:
+    """The §3.5 filter's per-instruction caps: each site's smallest
+    non-masked injected error in ``sampled``, ``+inf`` on every other row."""
+    caps = np.full(len(workload.program), np.inf)
+    caps[sampled.space.site_indices] = sampled.min_sdc_error_per_site()
+    return caps
+
+
+def _site_boundary(sampled: SampledResult, delta_e: np.ndarray,
+                   info: np.ndarray, exact_rule: bool,
+                   health: CampaignHealth | None) -> FaultToleranceBoundary:
+    """The boundary of per-instruction Algorithm 1 results at the sites,
+    with the §4.4 exact rule applied when ``exact_rule`` is on."""
+    space = sampled.space
     boundary = FaultToleranceBoundary(
         space=space,
         thresholds=delta_e[space.site_indices],
@@ -651,89 +707,38 @@ def _run_monte_carlo(workload: Workload, cfg: CampaignConfig,
         sampled=sampled, boundary=_infer(workload, sampled, cfg, pool))
 
 
-def _run_adaptive(workload: Workload, cfg: CampaignConfig,
-                  pool) -> CampaignResult:
-    """Progressive adaptive-sampling campaign (§3.4).
+def _progressive_rounds(workload: Workload, cfg: CampaignConfig, pool,
+                        sampler: ProgressiveSampler,
+                        guide: ThresholdAggregator,
+                        total: SampledResult | None, history: list[dict],
+                        on_round=None) -> SampledResult | None:
+    """The §3.4 round loop of the adaptive and combined drivers.
 
-    Each round draws biased samples (``p_i ∝ 1/S_i``) from the candidate
-    space minus the current boundary's predicted-masked experiments, runs
-    them, and extends an *incremental, unfiltered* Algorithm 1 aggregate
-    that guides the next round.  The returned boundary is recomputed from
-    the full accumulated sample with the §3.5 filter and §4.4 exact rule
-    (filter caps can only tighten as SDC evidence accumulates, so the final
-    boundary must see all evidence at once).
-
-    With a ``checkpoint``, every round appends one record: its new samples,
-    its history entry and the generator state after its draw.  A resumed
-    call rebuilds the sample and the sampler mask from the recorded rounds,
-    restores the generator (the rng's state is overwritten by the stored
-    one) and, if another round will run, rebuilds the guide by replaying
-    the recorded masked samples — exact, since the guide merges by max and
-    sum — so it continues with exactly the rounds the uninterrupted run
-    would have drawn.  The final inference also checkpoints per chunk.
+    Until ``sampler`` stops, each round draws its experiments, biased by
+    the guide's information counts and, once the guide has seen
+    experiments (``total``), minus its predicted-masked ones; runs them,
+    extending the guide from the same replays (:func:`_experiments_impl`
+    with ``guide``); and appends its entry to ``history``.
+    ``on_round(round_res)`` sees every completed round.  Returns
+    ``total`` grown by the rounds.
     """
-    rng = cfg.resolve_rng()
-    checkpoint = cfg.checkpoint
-    progress = cfg.progress
-    space = SampleSpace.of_program(workload.program)
-    sampler = ProgressiveSampler(space, cfg.progressive or ProgressiveConfig(),
-                                 rng)
+    space = sampler.space
     predictor = BoundaryPredictor(workload.trace)
-
-    guide = ThresholdAggregator(workload.trace, caps=None)
-    guide_replayer = make_replayer(workload.trace)
-    total: SampledResult | None = None
-    history: list[dict] = []
-
-    def absorb(round_res: SampledResult) -> None:
-        """Replay a round's masked subset into the unfiltered guide."""
-        masked_flat = round_res.flat[round_res.masked_mask]
-        for chunk in _chunk_flats(workload, masked_flat, cfg.batch_budget):
-            ci, cb = space.instructions_of(chunk)
-            guide_replayer.replay(ci, cb, sink=guide)
-
-    rounds = (checkpoint.load_adaptive_round() if checkpoint is not None
-              else [])
-    if rounds:
-        restored = [SampledResult(space=space, flat=arrays["flat"],
-                                  outcomes=arrays["outcomes"],
-                                  injected_errors=arrays["injected_errors"])
-                    for _, arrays in rounds]
-        total = SampledResult(
-            space=space,
-            flat=np.concatenate([r.flat for r in restored]),
-            outcomes=np.concatenate([r.outcomes for r in restored]),
-            injected_errors=np.concatenate(
-                [r.injected_errors for r in restored]))
-        sampler.sampled[total.flat] = True
-        sampler.rounds_run = len(rounds)
-        last = rounds[-1][0]
-        sampler._last_round_masked_fraction = last["last_masked_fraction"]
-        rng.bit_generator.state = last["rng_state"]
-        history = [state["history"] for state, _ in rounds]
-        if not sampler.should_stop():
-            for round_res in restored:
-                absorb(round_res)
-
     while not sampler.should_stop():
         with span("campaign.adaptive.round", round=sampler.rounds_run + 1):
             guide_boundary = guide.boundary(space)
-            pred_flat = predictor.predict_masked(guide_boundary).ravel() \
-                if sampler.rounds_run else None
+            pred_flat = (None if total is None else
+                         predictor.predict_masked(guide_boundary).ravel())
             chosen = sampler.select_round(guide_boundary.info, pred_flat)
             if chosen.size == 0:
                 break
-            round_res = _experiments_impl(workload, chosen, pool,
-                                          n_workers=cfg.n_workers,
-                                          batch_budget=cfg.batch_budget,
-                                          progress=progress)
+            round_res = _experiments_impl(
+                workload, chosen, pool, n_workers=cfg.n_workers,
+                batch_budget=cfg.batch_budget, progress=cfg.progress,
+                guide=guide)
             sampler.record_round(round_res.outcomes)
             total = (round_res if total is None
                      else total.merged_with(round_res))
-
-            # Incremental guide update: replay this round's masked subset
-            # once, streaming into the (unfiltered) running aggregate.
-            absorb(round_res)
             history.append({
                 "round": sampler.rounds_run,
                 "n_samples": int(chosen.size),
@@ -741,22 +746,125 @@ def _run_adaptive(workload: Workload, cfg: CampaignConfig,
                     round_res.outcomes == int(Outcome.MASKED))),
                 "total_samples": sampler.n_sampled,
             })
-            if checkpoint is not None:
-                checkpoint.save_adaptive_round(
-                    {"round": sampler.rounds_run,
-                     "history": history[-1],
-                     "last_masked_fraction":
-                         sampler._last_round_masked_fraction,
-                     "rng_state": rng.bit_generator.state},
-                    flat=round_res.flat,
-                    outcomes=round_res.outcomes,
-                    injected_errors=round_res.injected_errors)
+            if on_round is not None:
+                on_round(round_res)
+    return total
 
+
+def _final_boundary(workload: Workload, sampled: SampledResult,
+                    guide: ThresholdAggregator, cfg: CampaignConfig,
+                    pool) -> FaultToleranceBoundary:
+    """The boundary of a §3.4 campaign: its guide's, unless the §3.5
+    filter contests a row.
+
+    The guide merged every masked experiment of ``sampled``, by max and
+    sum, from the per-lane deviations phase B would replay; ``info``
+    never reads the caps; and where the guide's ``delta_e`` is at most
+    its cap, so is every deviation, and the filter drops nothing.  So
+    with the filter off, or no row with ``guide.delta_e > caps``, the
+    guide is phase B's aggregate and nothing is replayed.  Otherwise
+    :func:`infer_boundary` replays the masked set under the caps
+    (checkpointed like any phase B).  Either way progress sees one
+    finished phase and tracing one ``campaign.phase_b`` span.
+    """
+    caps = _filter_caps(workload, sampled) if cfg.use_filter else None
+    if caps is not None and np.any(guide.delta_e > caps):
+        return _infer(workload, sampled, cfg, pool)
+    n_masked = int(np.count_nonzero(sampled.masked_mask))
+    progress = as_progress(cfg.progress)
+    with span("campaign.phase_b", n_masked=n_masked,
+              use_filter=cfg.use_filter, exact_rule=cfg.exact_rule,
+              from_guide=True):
+        if n_masked:
+            try:
+                progress.update(n_masked, n_masked)
+            finally:
+                progress.finish()
+    return _site_boundary(sampled, guide.delta_e, guide.info,
+                          cfg.exact_rule, getattr(pool, "health", None))
+
+
+def _rebuild_guide(workload: Workload, sampled: SampledResult,
+                   cfg: CampaignConfig, pool,
+                   guide: ThresholdAggregator) -> None:
+    """Merge the masked experiments of restored rounds into ``guide``:
+    unfiltered phase-B tasks on the campaign's executor."""
+    masked = sampled.flat[sampled.masked_mask]
+    if not masked.size:
+        return
+    chunks = _chunk_flats(workload, masked, cfg.batch_budget, cfg.n_workers)
+    tasks = [(chunk, None, guide.rel_info_threshold) for chunk in chunks]
+    with span("campaign.adaptive.rebuild", n_masked=int(masked.size)):
+        for _, partial in pool.run_stream(_task_aggregate, tasks):
+            guide.merge_partial(*partial)
+
+
+def _run_adaptive(workload: Workload, cfg: CampaignConfig,
+                  pool) -> CampaignResult:
+    """Progressive adaptive-sampling campaign (§3.4).
+
+    Each round draws biased samples (``p_i ∝ 1/S_i``) from the candidate
+    space minus the current guide's predicted-masked experiments, and
+    runs them with one replay per experiment that both classifies them
+    and extends the guide, an *incremental, unfiltered* Algorithm 1
+    aggregate (:func:`_progressive_rounds`).  The returned boundary is
+    the guide's unless the §3.5 filter, whose caps need all of the
+    sample's SDC evidence at once, contests a row; then phase B replays
+    the masked sample under the caps (:func:`_final_boundary`).
+
+    With a ``checkpoint``, every round appends one record: its new samples,
+    its history entry and the generator state after its draw.  A resumed
+    call rebuilds the sample and the sampler mask from the recorded rounds,
+    restores the generator (the rng's state is overwritten by the stored
+    one) and rebuilds the guide on the campaign's executor by replaying
+    the recorded masked samples — exact, since the guide merges by max and
+    sum — so it continues with exactly the rounds the uninterrupted run
+    would have drawn, and ends with the same boundary.  A contested final
+    inference also checkpoints per chunk.
+    """
+    rng = cfg.resolve_rng()
+    checkpoint = cfg.checkpoint
+    space = SampleSpace.of_program(workload.program)
+    sampler = ProgressiveSampler(space, cfg.progressive or ProgressiveConfig(),
+                                 rng)
+    guide = ThresholdAggregator(workload.trace,
+                                rel_info_threshold=cfg.rel_info_threshold)
+    total: SampledResult | None = None
+    history: list[dict] = []
+
+    rounds = (checkpoint.load_adaptive_round() if checkpoint is not None
+              else [])
+    if rounds:
+        total = SampledResult(space=space, **{
+            key: np.concatenate([arrays[key] for _, arrays in rounds])
+            for key in ("flat", "outcomes", "injected_errors")})
+        sampler.sampled[total.flat] = True
+        sampler.rounds_run = len(rounds)
+        last = rounds[-1][0]
+        sampler._last_round_masked_fraction = last["last_masked_fraction"]
+        rng.bit_generator.state = last["rng_state"]
+        history = [state["history"] for state, _ in rounds]
+        _rebuild_guide(workload, total, cfg, pool, guide)
+
+    def save(round_res: SampledResult) -> None:
+        checkpoint.save_adaptive_round(
+            {"round": sampler.rounds_run,
+             "history": history[-1],
+             "last_masked_fraction": sampler._last_round_masked_fraction,
+             "rng_state": rng.bit_generator.state},
+            flat=round_res.flat,
+            outcomes=round_res.outcomes,
+            injected_errors=round_res.injected_errors)
+
+    total = _progressive_rounds(workload, cfg, pool, sampler, guide, total,
+                                history,
+                                on_round=None if checkpoint is None else save)
     if total is None:
         raise RuntimeError("adaptive campaign selected no experiments")
-    return AdaptiveResult(sampled=total,
-                          boundary=_infer(workload, total, cfg, pool),
-                          rounds=sampler.rounds_run, round_history=history)
+    return AdaptiveResult(
+        sampled=total, boundary=_final_boundary(workload, total, guide, cfg,
+                                                pool),
+        rounds=sampler.rounds_run, round_history=history)
 
 
 def _run_compositional(workload: Workload, cfg: CampaignConfig,
@@ -791,13 +899,13 @@ def _check_cfg_config(workload: Workload, config: CampaignConfig) -> None:
 def _check_dist_config(config: CampaignConfig) -> None:
     """Reject ``mode="compositional"`` on a distributed plane (fail fast).
 
-    Nodes run only phase-A and phase-B tasks, so a section task would
+    Nodes run only phase-A, phase-B and round tasks, so a section task would
     fail after the campaign had started.
     """
     if config.dist is not None and config.mode == "compositional":
         raise ValueError(
             'mode="compositional" cannot run on the distributed plane, '
-            "whose nodes run only phase-A and phase-B tasks (run it "
+            "whose nodes run only phase-A, phase-B and round tasks (run it "
             "without CampaignConfig.dist)")
 
 

@@ -24,21 +24,19 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from ..engine.batch import BatchReplayer
-from ..engine.classify import Outcome
 from ..kernels.workload import Workload
 from .baselines import site_groups
 from .boundary import FaultToleranceBoundary
 from .campaign import (
     DEFAULT_BATCH_BUDGET,
+    CampaignConfig,
     _campaign_executor,
-    _chunk_flats,
     _experiments_impl,
-    infer_boundary,
+    _final_boundary,
+    _progressive_rounds,
 )
 from .experiment import SampledResult, SampleSpace
 from .inference import ThresholdAggregator
-from .prediction import BoundaryPredictor
 from .sampling import ProgressiveConfig, ProgressiveSampler
 
 __all__ = ["CombinedResult", "run_combined"]
@@ -70,10 +68,17 @@ def run_combined(
     n_workers: int | None = None,
     batch_budget: int = DEFAULT_BATCH_BUDGET,
 ) -> CombinedResult:
-    """Run the §6 hybrid: static pilot seeding, then adaptive refinement."""
+    """Run the §6 hybrid: static pilot seeding, then adaptive refinement.
+
+    The pilots run as one round on a fixed experiment set, which seeds
+    the guide; the refinement rounds and the final boundary are those of
+    a ``mode="adaptive"`` campaign, on one executor for the whole run.
+    """
     if pilots_per_group < 1:
         raise ValueError("need at least one pilot per group")
-    config = config or ProgressiveConfig()
+    cfg = CampaignConfig(mode="adaptive", n_workers=n_workers,
+                         batch_budget=batch_budget, use_filter=use_filter,
+                         exact_rule=exact_rule, progressive=config)
     space = SampleSpace.of_program(workload.program)
     groups = site_groups(workload)
     n_groups = int(groups.max()) + 1
@@ -87,51 +92,19 @@ def run_combined(
             seed_flats.append(space.encode(np.full(space.bits, site_pos),
                                            np.arange(space.bits)))
     seed_flat = np.unique(np.concatenate(seed_flats))
+    guide = ThresholdAggregator(workload.trace,
+                                rel_info_threshold=cfg.rel_info_threshold)
+    sampler = ProgressiveSampler(space, config or ProgressiveConfig(), rng)
+    history: list[dict] = []
     with _campaign_executor(workload, n_workers) as pool:
         total = _experiments_impl(workload, seed_flat, pool,
                                   n_workers=n_workers,
-                                  batch_budget=batch_budget)
-
-        # seed the unfiltered guide aggregate with the pilots' propagation
-        guide = ThresholdAggregator(workload.trace, caps=None)
-        replayer = BatchReplayer(workload.trace)
-        masked_flat = total.flat[total.masked_mask]
-        for chunk in _chunk_flats(workload, masked_flat, batch_budget):
-            ci, cb = space.instructions_of(chunk)
-            replayer.replay(ci, cb, sink=guide)
-
-        # ---- refinement phase: §3.4 rounds starting from the seeded state
-        sampler = ProgressiveSampler(space, config, rng)
+                                  batch_budget=batch_budget, guide=guide)
         sampler.sampled[total.flat] = True
-        predictor = BoundaryPredictor(workload.trace)
-        history: list[dict] = []
-
-        while not sampler.should_stop():
-            guide_boundary = guide.boundary(space)
-            pred_flat = predictor.predict_masked(guide_boundary).ravel()
-            chosen = sampler.select_round(guide_boundary.info, pred_flat)
-            if chosen.size == 0:
-                break
-            round_res = _experiments_impl(workload, chosen, pool,
-                                          n_workers=n_workers,
-                                          batch_budget=batch_budget)
-            sampler.record_round(round_res.outcomes)
-            total = total.merged_with(round_res)
-            masked_flat = round_res.flat[round_res.masked_mask]
-            for chunk in _chunk_flats(workload, masked_flat, batch_budget):
-                ci, cb = space.instructions_of(chunk)
-                replayer.replay(ci, cb, sink=guide)
-            history.append({
-                "round": sampler.rounds_run,
-                "n_samples": int(chosen.size),
-                "masked_fraction": float(np.mean(
-                    round_res.outcomes == int(Outcome.MASKED))),
-                "total_samples": int(total.n_samples),
-            })
-
-        boundary = infer_boundary(workload, total, use_filter=use_filter,
-                                  exact_rule=exact_rule, n_workers=n_workers,
-                                  batch_budget=batch_budget, pool=pool)
+        # ---- refinement phase: §3.4 rounds starting from the seeded guide
+        total = _progressive_rounds(workload, cfg, pool, sampler, guide,
+                                    total, history)
+        boundary = _final_boundary(workload, total, guide, cfg, pool)
     return CombinedResult(
         sampled=total,
         boundary=boundary,

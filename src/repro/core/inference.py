@@ -130,9 +130,15 @@ class ThresholdAggregator:
         """Absorb a peer aggregator (parallel-worker reduction)."""
         if other.delta_e.shape != self.delta_e.shape:
             raise ValueError("aggregators cover different programs")
-        np.maximum(self.delta_e, other.delta_e, out=self.delta_e)
-        self.info += other.info
-        self.n_experiments += other.n_experiments
+        self.merge_partial(other.delta_e, other.info, other.n_experiments)
+
+    def merge_partial(self, delta_e: np.ndarray, info: np.ndarray,
+                      n_experiments: int) -> None:
+        """Absorb a peer's ``(delta_e, info, n_experiments)``, the partial
+        a campaign worker task returns: per-instruction max and sums."""
+        np.maximum(self.delta_e, delta_e, out=self.delta_e)
+        self.info += info
+        self.n_experiments += int(n_experiments)
 
 
 def exact_site_thresholds(sampled: SampledResult) -> tuple[np.ndarray, np.ndarray]:

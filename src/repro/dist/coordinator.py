@@ -73,7 +73,7 @@ __all__ = ["DistConfig", "DistExecutor", "DistPlane", "NodeHandle"]
 
 #: Task kinds the plane knows how to ship.  Maps the campaign module's
 #: worker functions; anything else is rejected at ``run_stream`` time.
-TASK_KINDS = ("phase_a", "phase_b")
+TASK_KINDS = ("phase_a", "phase_b", "round")
 
 
 @dataclass(frozen=True)
@@ -440,6 +440,8 @@ class DistExecutor(CampaignExecutor):
             return "phase_a"
         if fn is _campaign._task_aggregate:
             return "phase_b"
+        if fn is _campaign._task_round:
+            return "round"
         raise ValueError(
             f"the distributed plane only ships campaign phase tasks "
             f"({TASK_KINDS}); got {getattr(fn, '__name__', fn)!r}")
@@ -449,24 +451,19 @@ class DistExecutor(CampaignExecutor):
         h = hashlib.sha256()
         h.update(kind.encode())
         h.update(self._wkey.encode())
-        if kind == "phase_a":
-            flat = np.ascontiguousarray(np.asarray(task, dtype=np.int64))
-            h.update(flat.tobytes())
-        else:
-            flat, caps, rel = task
-            flat = np.ascontiguousarray(np.asarray(flat, dtype=np.int64))
-            h.update(flat.tobytes())
-            if caps is None:
-                h.update(b"caps:none")
-            else:
-                h.update(np.ascontiguousarray(
-                    np.asarray(caps, dtype=np.float64)).tobytes())
-            h.update(repr(float(rel)).encode())
+        for name, value in self._encode_task(kind, task).items():
+            h.update(name.encode())
+            h.update(value.tobytes() if isinstance(value, np.ndarray)
+                     else repr(value).encode())
         return h.hexdigest()[:32]
 
     def _encode_task(self, kind: str, task: Any) -> dict:
         if kind == "phase_a":
             return {"flat": np.asarray(task, dtype=np.int64)}
+        if kind == "round":
+            flat, rel = task
+            return {"flat": np.asarray(flat, dtype=np.int64),
+                    "rel": float(rel)}
         flat, caps, rel = task
         return {"flat": np.asarray(flat, dtype=np.int64),
                 "caps": None if caps is None
@@ -477,7 +474,10 @@ class DistExecutor(CampaignExecutor):
     def _decode_result(kind: str, payload: dict) -> Any:
         if kind == "phase_a":
             return (payload["outcomes"], payload["injected"])
-        return (payload["delta_e"], payload["info"], int(payload["n"]))
+        partial = (payload["delta_e"], payload["info"], int(payload["n"]))
+        if kind == "round":
+            return (payload["outcomes"], payload["injected"], *partial)
+        return partial
 
     # ------------------------------------------- the retry loop's plane
 

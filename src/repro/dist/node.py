@@ -185,6 +185,11 @@ class NodeAgent:
                 delta_e, info, n = _campaign._task_aggregate(
                     (task["flat"], task.get("caps"), task["rel"]))
                 payload = {"delta_e": delta_e, "info": info, "n": int(n)}
+            elif kind == "round":
+                outcomes, injected, delta_e, info, n = _campaign._task_round(
+                    (task["flat"], task["rel"]))
+                payload = {"outcomes": outcomes, "injected": injected,
+                           "delta_e": delta_e, "info": info, "n": int(n)}
             else:
                 raise ValueError(f"unknown task kind {kind!r}")
         except Exception as exc:

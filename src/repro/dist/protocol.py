@@ -16,8 +16,9 @@ type               dir     meaning
                            protocol version
 ``welcome``        c → n   campaign workload: ``(kernel, params)`` spec +
                            expected content key, heartbeat interval
-``lease``          c → n   one chunk lease: lease id, task kind/payload,
-                           content key, deadline
+``lease``          c → n   one chunk lease: lease id, task kind
+                           (``phase_a``, ``phase_b`` or ``round``) and
+                           payload, content key, deadline
 ``result``         n → c   a completed lease's reduced arrays, keyed by
                            the task's content key
 ``task_error``     n → c   the task raised on the node (repr attached)
@@ -54,8 +55,9 @@ __all__ = [
 ]
 
 #: Bumped on any incompatible frame/message change; ``hello`` carries it
-#: and the coordinator rejects mismatched nodes at registration.
-PROTOCOL_VERSION = 1
+#: and the coordinator rejects mismatched nodes at registration.  Version
+#: 2 added the ``round`` lease kind, which a version-1 node cannot serve.
+PROTOCOL_VERSION = 2
 
 #: Upper bound on one frame; campaign frames are index arrays and reduced
 #: grids (kilobytes to low megabytes), so anything near this is garbage.

@@ -35,7 +35,7 @@ import numpy as np
 
 from ..obs import metrics as _metrics
 from .bitflip import flip_bits
-from .classify import OutputComparator, classify_outputs
+from .classify import Outcome, OutputComparator, classify_outputs
 from .interpreter import GoldenTrace
 from .plan import plan_for, run_steps
 
@@ -187,10 +187,11 @@ class BatchReplayer:
     Every call executes the trace's shared
     :class:`~repro.engine.plan.ReplayPlan` with the one interpreter loop
     (:func:`~repro.engine.plan.run_steps`): outcome-only replays run the
-    slot map in a cache-sized ``(n_slots, lanes)`` buffer; sink replays
-    and :meth:`sweep_section` run the identity map into the full
-    ``(rows, lanes)`` value matrix.  Un-corrupted lanes recompute the
-    golden values exactly (same ufuncs, same operand precision).
+    slot map in a cache-sized ``(n_slots, lanes)`` buffer; sink replays,
+    :meth:`replay_round` and :meth:`sweep_section` run the identity map
+    into the full ``(rows, lanes)`` value matrix.  Un-corrupted lanes
+    recompute the golden values exactly (same ufuncs, same operand
+    precision).
 
     One replayer may serve several threads at once.  Outcome-only sweeps
     and the deviation blocks of sink replays live in a per-thread
@@ -257,21 +258,96 @@ class BatchReplayer:
         t0 = time.perf_counter() if _metrics.METRICS.enabled else None
         inj_err, inject = self._prepare_injection(sites, corrupted)
         diverged_at = np.full(k, self._n, dtype=np.int64)
-        ws = self._workspace()
-        n_out = len(self._outputs)
         buf = self._sweep_slots(start, k, inject, diverged_at)
-        staged = (None if buf.dtype == np.float64
-                  else ws.matrix("staged", n_out, k, buf.dtype))
-        out = self._outputs_of(buf, start, self._out_slots,
-                               ws.matrix("outputs", n_out, k, np.float64),
-                               staged)
+        outcomes = self._classify(buf, start, self._out_slots, diverged_at,
+                                  comparator)
         if t0 is not None:
             self._count(k, self._n - start, t0)
-        outcomes = classify_outputs(
+        return outcomes, inj_err
+
+    def replay_round(
+        self,
+        sites: np.ndarray,
+        bits: np.ndarray,
+        comparator: OutputComparator,
+        sink: PropagationSink,
+    ) -> tuple[np.ndarray, np.ndarray]:
+        """An adaptive round's chunk: classify every lane and stream the
+        MASKED lanes' deviations into ``sink``, from one sweep.
+
+        Equals :meth:`replay_outcomes` followed by ``replay(sites[m],
+        bits[m], sink=sink)`` for the MASKED lanes ``m``, bit for bit:
+        lanes are independent, so the masked columns of the identity-map
+        sweep are the values that replay computes.  The sink sees the
+        blocks that replay would stream, ``_block_rows(m.size)`` rows
+        each tiling ``[min(sites[m]), n)``; with no MASKED lane it sees
+        nothing.
+        """
+        sites, bits, corrupted = self._flip(sites, bits)
+        k = sites.size
+        start = int(sites.min())
+        t0 = time.perf_counter() if _metrics.METRICS.enabled else None
+        inj_err, inject = self._prepare_injection(sites, corrupted)
+        diverged_at = np.full(k, self._n, dtype=np.int64)
+        vals = self._sweep_rows(start, self._n, k, inject, None, diverged_at)
+        outcomes = self._classify(vals, start, self._outputs - start,
+                                  diverged_at, comparator)
+        masked = np.flatnonzero(outcomes == Outcome.MASKED)
+        if masked.size:
+            m_sites, m_bits = sites[masked], bits[masked]
+            m_div = diverged_at[masked]
+            height = _block_rows(masked.size)
+            for r0 in range(int(m_sites.min()), self._n, height):
+                r1 = min(r0 + height, self._n)
+                self._stream_block(sink, r0, vals[r0 - start:r1 - start],
+                                   m_sites, m_bits, m_div, lanes=masked)
+        if t0 is not None:
+            self._count(k, self._n - start, t0)
+        return outcomes, inj_err
+
+    def _classify(self, buf: np.ndarray, start: int, index: np.ndarray,
+                  diverged_at: np.ndarray,
+                  comparator: OutputComparator) -> np.ndarray:
+        """Outcome codes of a sweep whose outputs sit at rows ``index`` of
+        ``buf`` (see :meth:`_outputs_of`), gathered and classified in this
+        thread's workspace; the returned codes are fresh."""
+        ws = self._workspace()
+        n_out, k = len(self._outputs), diverged_at.size
+        staged = (None if buf.dtype == np.float64
+                  else ws.matrix("staged", n_out, k, buf.dtype))
+        out = self._outputs_of(buf, start, index,
+                               ws.matrix("outputs", n_out, k, np.float64),
+                               staged)
+        return classify_outputs(
             out, comparator, diverged_at < self._n,
             scratch=(ws.matrix("diff", n_out, k, np.float64),
                      ws.matrix("flags", n_out, k, bool)))
-        return outcomes, inj_err
+
+    def _stream_block(self, sink: PropagationSink, r0: int,
+                      rows: np.ndarray, sites: np.ndarray, bits: np.ndarray,
+                      diverged_at: np.ndarray,
+                      lanes: np.ndarray | None = None) -> None:
+        """Stream the deviations of value ``rows`` (row ``r0`` first) into
+        ``sink``.  ``lanes`` picks the columns of ``rows`` that ``sites``,
+        ``bits`` and ``diverged_at`` describe; they are gathered in program
+        precision and widen in the subtraction, as whole rows do."""
+        ws = self._workspace()
+        r1 = r0 + len(rows)
+        dev = ws.matrix("deviation", len(rows), sites.size, np.float64)
+        if lanes is not None:
+            rows = np.take(rows, lanes, axis=1, mode="clip",
+                           out=dev if rows.dtype == np.float64 else
+                           ws.matrix("gathered", len(rows), sites.size,
+                                     rows.dtype))
+        with np.errstate(invalid="ignore", over="ignore"):
+            np.subtract(rows, self._gold64[r0:r1, None], out=dev)
+        np.abs(dev, out=dev)
+        np.fmin(dev, np.inf, out=dev)  # NaN -> inf
+        valid = None
+        if diverged_at.min() < r1:
+            valid = ws.matrix("valid", len(rows), sites.size, bool)
+            np.less(np.arange(r0, r1)[:, None], diverged_at, out=valid)
+        sink.consume(r0, dev, valid, sites, bits)
 
     def _flip(self, sites, bits) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """Validated ``(sites, bits, corrupted values)`` of a bit-flip batch."""
@@ -351,21 +427,8 @@ class BatchReplayer:
             out = self._outputs_of(buf, start, self._out_slots,
                                    np.empty((n_out, k)))
         else:
-            ws = self._workspace()
-
             def stream(r0: int, rows: np.ndarray) -> None:
-                r1 = r0 + len(rows)
-                dev = ws.matrix("deviation", len(rows), k, np.float64)
-                with np.errstate(invalid="ignore", over="ignore"):
-                    np.subtract(rows, self._gold64[r0:r1, None], out=dev)
-                np.abs(dev, out=dev)
-                np.fmin(dev, np.inf, out=dev)  # NaN -> inf
-                valid = None
-                if diverged_at.min() < r1:
-                    valid = ws.matrix("valid", len(rows), k, bool)
-                    np.less(np.arange(r0, r1)[:, None], diverged_at,
-                            out=valid)
-                sink.consume(r0, dev, valid, sites, bits)
+                self._stream_block(sink, r0, rows, sites, bits, diverged_at)
 
             vals = self._sweep_rows(start, self._n, k, inject, None,
                                     diverged_at, stream)

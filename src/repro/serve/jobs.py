@@ -127,7 +127,7 @@ _COMMON_OPTIONS = frozenset({
 JOB_EXECUTORS = ("auto", "serial", "dist")
 
 #: Job modes that run a compositional campaign.  Dist nodes run only
-#: phase-A and phase-B tasks, not its section tasks.
+#: phase-A, phase-B and adaptive-round tasks, not its section tasks.
 _COMPOSITIONAL_MODES = ("compose", "optimize")
 
 _MODE_OPTIONS = {
@@ -247,7 +247,7 @@ class JobRequest:
         if executor == "dist" and self.mode in _COMPOSITIONAL_MODES:
             raise ValueError(
                 f'mode {self.mode!r} cannot take options.executor="dist": '
-                "dist nodes run only phase-A and phase-B tasks, and this "
+                "dist nodes run only phase-A, phase-B and round tasks, and this "
                 "mode runs compositional section tasks")
         if self.mode == "sample":
             rate = self.options.get("sampling_rate")

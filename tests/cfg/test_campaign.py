@@ -10,7 +10,7 @@ from repro.cfg.workload import CfgWorkload
 from repro.core.checkpoint import CampaignCheckpoint
 from repro.parallel.executor import pool_start_method
 
-from tests.helpers import extra_thread, run_fresh
+from tests.helpers import assert_same_adaptive, extra_thread, run_fresh
 
 from .conftest import build_countdown
 
@@ -126,6 +126,16 @@ class TestSampledAndAdaptive:
                                    sampling_rate=0.02, seed=5)
         assert result.boundary is not None
         assert len(result.boundary.thresholds) == cg_dyn_tiny.program.n_sites
+
+    def test_combined_runs_on_cfg(self, cg_dyn_tiny):
+        """The §6 hybrid groups sites by dynamic opcode and region, and its
+        rounds run on the CFG replayer, bit-identically on a pool."""
+        serial = core.run_combined(cg_dyn_tiny, np.random.default_rng(1))
+        assert len(serial.boundary.thresholds) == cg_dyn_tiny.program.n_sites
+        assert serial.n_seed_samples > 0 and serial.rounds > 0
+        pooled = core.run_combined(cg_dyn_tiny, np.random.default_rng(1),
+                                   n_workers=2)
+        assert_same_adaptive(pooled, serial)
 
 
 class TestCheckpointing:

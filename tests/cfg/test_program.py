@@ -67,6 +67,18 @@ class TestFacade:
                          int(trace.step_starts[s + 1]))
             assert np.all(countdown.region_ids[rows] == blk)
 
+    def test_ops_follow_block_path(self, countdown):
+        """``ops`` gives the static site grouping of §6's hybrid one
+        opcode per dynamic row, cached on the trace like region ids."""
+        trace = countdown.trace
+        assert countdown.ops.shape == (len(countdown),)
+        assert countdown.ops is countdown.ops
+        for s in range(trace.n_steps):
+            blk = countdown.blocks[int(trace.block_path[s])]
+            rows = slice(int(trace.step_starts[s]),
+                         int(trace.step_starts[s + 1]))
+            np.testing.assert_array_equal(countdown.ops[rows], blk.ops)
+
 
 class TestBuilderValidation:
     def test_unterminated_block_rejected(self):

@@ -297,8 +297,9 @@ class TestAdaptiveResume:
         again = run_campaign(cg_tiny, mode="adaptive", rng=np.random.default_rng(42), progressive=config, checkpoint=CampaignCheckpoint(tmp_path, cg_tiny, resume=True))
         assert again.rounds == first.rounds
         assert np.array_equal(again.sampled.flat, first.sampled.flat)
-        assert np.array_equal(again.boundary.thresholds,
-                              first.boundary.thresholds)
+        for key in ("thresholds", "info", "exact"):
+            assert np.array_equal(getattr(again.boundary, key),
+                                  getattr(first.boundary, key)), key
 
 
 def _sample(workload, flat, directory, **kwargs):

@@ -10,10 +10,13 @@ is pinned down in test_start_methods.py.
 import numpy as np
 import pytest
 
-from repro.core import CampaignConfig, infer_boundary, run_campaign
+from repro.core import (CampaignConfig, infer_boundary, run_campaign,
+                        run_combined)
 from repro.core.campaign import _campaign_executor, _plane
 from repro.parallel.executor import ProcessPoolCampaignExecutor
 from repro.parallel.resilience import RetryPolicy
+
+from tests.helpers import assert_same_adaptive
 
 #: pooled planes by test id -> the config that selects them
 PLANES = {"processes": {"n_workers": 2}}
@@ -48,6 +51,29 @@ class TestInferenceParity:
                                       serial.sampled.outcomes)
         np.testing.assert_array_equal(parallel.boundary.thresholds,
                                       serial.boundary.thresholds)
+
+class TestAdaptiveParity:
+    """Rounds classify and feed the guide in pool workers; the guide and
+    the boundary derived from it must not notice."""
+
+    @pytest.mark.parametrize("kernel", ["fft", "cg"])
+    @pytest.mark.parametrize("plane", PLANES)
+    def test_bit_identical_to_serial(self, fft_tiny, cg_tiny, kernel,
+                                     plane):
+        wl = {"fft": fft_tiny, "cg": cg_tiny}[kernel]
+        serial = run_campaign(wl, CampaignConfig(mode="adaptive", seed=4))
+        parallel = run_campaign(wl, CampaignConfig(
+            mode="adaptive", seed=4, **PLANES[plane]))
+        assert serial.rounds > 1
+        assert_same_adaptive(parallel, serial)
+
+    def test_combined_bit_identical_to_serial(self, cg_tiny):
+        serial = run_combined(cg_tiny, np.random.default_rng(8))
+        parallel = run_combined(cg_tiny, np.random.default_rng(8),
+                                n_workers=2)
+        assert_same_adaptive(parallel, serial)
+        assert parallel.n_seed_samples == serial.n_seed_samples
+
 
 class TestExecutorResolution:
     """The plane follows from ``dist`` and ``n_workers``; there is no
@@ -94,7 +120,7 @@ class TestExecutorResolution:
                            n_workers=2)
 
     def test_compositional_rejected_with_a_plane(self, cg_tiny):
-        """Dist nodes run only phase-A and phase-B tasks, so a
+        """Dist nodes run only phase-A, phase-B and round tasks, so a
         compositional campaign fails before it starts, not on its first
         lease."""
         plane = object()  # never reached: the check runs first

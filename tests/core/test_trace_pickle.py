@@ -1,8 +1,8 @@
 """A golden trace pickles without its memoized replay plan.
 
 Forkserver pool workers unpickle the campaign workload; a trace whose
-plan was already built (an adaptive campaign builds its guide replayer
-before its first round) must not carry the plan along, and an unpickled
+plan was already built (by any earlier replay in the process, a serial
+campaign's for one) must not carry the plan along, and an unpickled
 trace builds its own on first use.
 """
 
@@ -17,7 +17,7 @@ from repro.core import run_campaign
 from repro.engine.plan import plan_for
 from repro.parallel.executor import pool_start_method
 
-from tests.helpers import extra_thread
+from tests.helpers import assert_same_adaptive, extra_thread
 
 
 def test_plan_memo_stays_out_of_the_pickle():
@@ -39,9 +39,4 @@ def test_forkserver_adaptive_matches_serial():
     with extra_thread():
         assert pool_start_method() == "forkserver"
         got = run_campaign(wl, n_workers=2, **config)
-    np.testing.assert_array_equal(got.sampled.flat, want.sampled.flat)
-    np.testing.assert_array_equal(got.sampled.outcomes,
-                                  want.sampled.outcomes)
-    np.testing.assert_array_equal(got.boundary.thresholds,
-                                  want.boundary.thresholds)
-    assert got.rounds == want.rounds
+    assert_same_adaptive(got, want)

@@ -20,6 +20,8 @@ from repro.dist.protocol import (PROTOCOL_VERSION, ProtocolError,
                                  recv_msg, send_msg)
 from repro.parallel.resilience import NodeDeath, RetryPolicy
 
+from tests.helpers import assert_same_adaptive
+
 
 def _start_nodes(plane, n, n_workers=2, heartbeat=None):
     """Attach ``n`` in-process node agents; returns (agents, threads)."""
@@ -118,19 +120,29 @@ class TestPlaneLifecycle:
         with DistPlane(DistConfig()) as plane:
             assert not plane.wait_for_nodes(1, timeout=0.05)
 
-    def test_version_mismatch_rejected(self):
+    @staticmethod
+    def _assert_hello_refused(version) -> None:
         with DistPlane(DistConfig()) as plane:
             sock = socket.create_connection((plane.host, plane.port),
                                             timeout=5)
             try:
                 send_msg(sock, {"type": "hello", "node_id": "old",
-                                "version": -1})
+                                "version": version})
                 sock.settimeout(5)
                 # Coordinator drops the connection without registering.
                 assert recv_msg(sock) is None
                 assert plane.n_nodes == 0
             finally:
                 sock.close()
+
+    def test_version_mismatch_rejected(self):
+        self._assert_hello_refused(-1)
+
+    def test_version_one_node_refused(self):
+        """Version 1 predates ``round`` leases: such a node is refused at
+        hello rather than failing every adaptive round."""
+        assert PROTOCOL_VERSION == 2
+        self._assert_hello_refused(1)
 
     def test_node_ids_uniquified(self):
         with DistPlane(DistConfig()) as plane:
@@ -186,6 +198,20 @@ class TestParity:
                                       serial.boundary.exact)
         np.testing.assert_array_equal(dist.sampled.outcomes,
                                       serial.sampled.outcomes)
+
+    @pytest.mark.parametrize("kernel", ["fft", "cg"])
+    def test_adaptive_matches_serial(self, fft_tiny, cg_tiny, kernel):
+        """Rounds run as ``round`` leases: outcomes, guide partials and
+        the boundary derived from the guide equal a serial run's."""
+        wl = {"fft": fft_tiny, "cg": cg_tiny}[kernel]
+        config = dict(mode="adaptive", seed=4)
+        serial = core.run_campaign(wl, core.CampaignConfig(**config))
+        with DistPlane(DistConfig()) as plane:
+            _start_nodes(plane, 2)
+            dist = core.run_campaign(wl, core.CampaignConfig(
+                dist=plane, **config))
+        assert dist.health is not None and dist.health.clean
+        assert_same_adaptive(dist, serial)
 
     def test_plane_survives_across_campaigns(self, cg_tiny, lu_tiny,
                                              cg_tiny_golden,

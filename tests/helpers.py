@@ -12,7 +12,8 @@ alive, so pools start from the forkserver.
 
 Kill-and-resume tests watch a campaign's checkpoint logs through
 :func:`whole_records` and prove completed work was adopted with
-:class:`LogSnapshot`.
+:class:`LogSnapshot`.  :func:`assert_same_adaptive` compares two §3.4
+campaign results on every array they carry.
 """
 
 from __future__ import annotations
@@ -172,6 +173,19 @@ class SinkStream:
         """The one recorded replay of an ``n``-row tape (:meth:`replays`)."""
         (replay,) = self.replays(n)
         return replay
+
+
+def assert_same_adaptive(got, want) -> None:
+    """Two §3.4 campaign results (adaptive or combined) agree bit for bit:
+    their samples, boundaries and round histories."""
+    for key in ("flat", "outcomes", "injected_errors"):
+        np.testing.assert_array_equal(getattr(got.sampled, key),
+                                      getattr(want.sampled, key), key)
+    for key in ("thresholds", "info", "exact"):
+        np.testing.assert_array_equal(getattr(got.boundary, key),
+                                      getattr(want.boundary, key), key)
+    assert got.rounds == want.rounds
+    assert got.round_history == want.round_history
 
 
 ROOT = Path(__file__).resolve().parents[1]

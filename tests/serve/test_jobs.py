@@ -94,7 +94,7 @@ class TestJobRequest:
                        options={"autotune": True})
 
     def test_dist_rejected_for_compositional_modes(self):
-        """Dist nodes run only phase-A and phase-B tasks, so modes that
+        """Dist nodes run only phase-A, phase-B and round tasks, so modes that
         run section tasks fail at submit, not on their first lease."""
         for mode, extra in (("compose", {}),
                             ("optimize", {"target_sdc": 0.4})):

@@ -196,6 +196,18 @@ class TestCombined:
         assert "groups:" in text and "refinement rounds:" in text
         assert b_path.exists()
 
+    @pytest.mark.parametrize("kernel,param", [("cg-dyn", "n=4"),
+                                              ("lu-pivot", "n=3")])
+    def test_runs_on_cfg_kernels(self, tmp_path, kernel, param):
+        b_path = tmp_path / "b.npz"
+        code, text = run_cli([
+            "combined", "--kernel", kernel, "--param", param,
+            "--seed", "1", "--boundary-out", str(b_path),
+        ])
+        assert code == 0, text
+        assert "refinement rounds:" in text
+        assert b_path.exists()
+
 
 class TestReport:
     @pytest.fixture()
